@@ -1,8 +1,16 @@
 #include "cache/lru_cache.hpp"
 
 namespace idicn::cache {
+namespace {
 
-LruCache::LruCache(std::uint64_t capacity) : capacity_(capacity) {}
+constexpr unsigned kInitialTableBits = 3;
+
+}  // namespace
+
+LruCache::LruCache(std::uint64_t capacity)
+    : capacity_(capacity),
+      table_(std::size_t{1} << kInitialTableBits, kNil),
+      table_shift_(64 - kInitialTableBits) {}
 
 void LruCache::unlink(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
@@ -28,18 +36,60 @@ void LruCache::link_front(std::uint32_t slot) noexcept {
   if (tail_ == kNil) tail_ = slot;
 }
 
+std::size_t LruCache::home_of(ObjectId object) const noexcept {
+  // Fibonacci hashing: the top bits of the product spread dense ids.
+  return static_cast<std::size_t>((object * 0x9e3779b97f4a7c15ULL) >> table_shift_);
+}
+
+std::size_t LruCache::find_bucket(ObjectId object) const noexcept {
+  const std::size_t mask = table_.size() - 1;
+  std::size_t bucket = home_of(object);
+  while (table_[bucket] != kNil && slots_[table_[bucket]].object != object) {
+    bucket = (bucket + 1) & mask;
+  }
+  return bucket;
+}
+
+void LruCache::erase_bucket(std::size_t bucket) noexcept {
+  const std::size_t mask = table_.size() - 1;
+  std::size_t hole = bucket;
+  for (std::size_t j = (bucket + 1) & mask; table_[j] != kNil; j = (j + 1) & mask) {
+    // The entry at j may fill the hole unless its home lies cyclically in
+    // (hole, j]: then moving it would put it before its home.
+    const std::size_t home = home_of(slots_[table_[j]].object);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      table_[hole] = table_[j];
+      hole = j;
+    }
+  }
+  table_[hole] = kNil;
+}
+
+void LruCache::grow_table() {
+  std::vector<std::uint32_t> old(table_.size() * 2, kNil);
+  old.swap(table_);  // table_ is now the empty doubled table
+  --table_shift_;
+  const std::size_t mask = table_.size() - 1;
+  for (const std::uint32_t slot : old) {
+    if (slot == kNil) continue;
+    std::size_t bucket = home_of(slots_[slot].object);
+    while (table_[bucket] != kNil) bucket = (bucket + 1) & mask;
+    table_[bucket] = slot;
+  }
+}
+
 bool LruCache::lookup(ObjectId object) {
-  const auto it = index_.find(object);
-  if (it == index_.end()) return false;
-  if (head_ != it->second) {
-    unlink(it->second);
-    link_front(it->second);
+  const std::uint32_t slot = table_[find_bucket(object)];
+  if (slot == kNil) return false;
+  if (head_ != slot) {
+    unlink(slot);
+    link_front(slot);
   }
   return true;
 }
 
 bool LruCache::contains(ObjectId object) const {
-  return index_.find(object) != index_.end();
+  return table_[find_bucket(object)] != kNil;
 }
 
 void LruCache::evict_lru(std::vector<ObjectId>& evicted) {
@@ -47,22 +97,14 @@ void LruCache::evict_lru(std::vector<ObjectId>& evicted) {
   Slot& s = slots_[victim];
   used_ -= s.size;
   evicted.push_back(s.object);
-  index_.erase(s.object);
+  erase_bucket(find_bucket(s.object));
   unlink(victim);
   free_slots_.push_back(victim);
 }
 
 void LruCache::insert(ObjectId object, std::uint64_t size,
                       std::vector<ObjectId>& evicted) {
-  const auto it = index_.find(object);
-  if (it != index_.end()) {
-    // Refresh recency; sizes are immutable per object in this model.
-    if (head_ != it->second) {
-      unlink(it->second);
-      link_front(it->second);
-    }
-    return;
-  }
+  if (lookup(object)) return;  // refresh; sizes are immutable per object
   if (size > capacity_) return;  // cannot ever fit
 
   while (used_ + size > capacity_) evict_lru(evicted);
@@ -77,18 +119,19 @@ void LruCache::insert(ObjectId object, std::uint64_t size,
   }
   slots_[slot] = Slot{object, size, kNil, kNil};
   link_front(slot);
-  index_.emplace(object, slot);
+  if (2 * object_count() > table_.size()) grow_table();
+  table_[find_bucket(object)] = slot;
   used_ += size;
 }
 
 void LruCache::erase(ObjectId object) {
-  const auto it = index_.find(object);
-  if (it == index_.end()) return;
-  const std::uint32_t slot = it->second;
+  const std::size_t bucket = find_bucket(object);
+  const std::uint32_t slot = table_[bucket];
+  if (slot == kNil) return;
   used_ -= slots_[slot].size;
+  erase_bucket(bucket);
   unlink(slot);
   free_slots_.push_back(slot);
-  index_.erase(it);
 }
 
 }  // namespace idicn::cache

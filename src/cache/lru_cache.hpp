@@ -1,11 +1,15 @@
 // LRU cache — the paper's baseline replacement policy.
 //
-// Implemented as an open hash map over slots in a contiguous vector with an
-// intrusive doubly-linked recency list (head = most recent). All operations
-// are O(1) expected; the hot path allocates nothing after warm-up.
+// Objects live in slots of a contiguous vector, threaded on an intrusive
+// doubly-linked recency list (head = most recent). The index from object id
+// to slot is a flat open-addressing table of slot indices: power-of-two
+// size, linear probing from a multiplicative hash, load kept at or below
+// 1/2 by doubling, and backward-shift deletion, so no tombstones build up
+// under eviction churn. All operations are O(1) expected; the hot path
+// allocates nothing after warm-up (the slot vector, free list and table
+// only grow).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -23,7 +27,7 @@ public:
   void erase(ObjectId object) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
-    return index_.size();
+    return slots_.size() - free_slots_.size();
   }
   [[nodiscard]] std::uint64_t used_units() const noexcept override { return used_; }
   [[nodiscard]] std::uint64_t capacity_units() const noexcept override {
@@ -44,13 +48,22 @@ private:
   void link_front(std::uint32_t slot) noexcept;
   void evict_lru(std::vector<ObjectId>& evicted);
 
+  // --- index: table_[i] is a slot index, or kNil for an empty bucket ------
+  [[nodiscard]] std::size_t home_of(ObjectId object) const noexcept;
+  /// The bucket holding `object`, or the empty bucket ending its probe run.
+  [[nodiscard]] std::size_t find_bucket(ObjectId object) const noexcept;
+  /// Empty `bucket`, shifting later entries of its probe run back.
+  void erase_bucket(std::size_t bucket) noexcept;
+  void grow_table();
+
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used
-  std::unordered_map<ObjectId, std::uint32_t> index_;
+  std::vector<std::uint32_t> table_;
+  unsigned table_shift_ = 0;  // 64 − log2(table_.size())
 };
 
 }  // namespace idicn::cache

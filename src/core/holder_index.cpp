@@ -10,44 +10,56 @@ using topology::PopId;
 using topology::TreeIndex;
 
 void HolderIndex::add(std::uint32_t object, GlobalNodeId node) {
-  if (!membership_.insert(key(object, node)).second) {
-    throw std::logic_error("HolderIndex::add: duplicate holder");
-  }
   const PopId pop = network_->pop_of(node);
   const TreeIndex t = network_->tree_index_of(node);
-  ObjectHolders& oh = holders_[object];
+  std::vector<PopHolders>& pops = holders_[object].pops;
 
-  auto pop_it = std::lower_bound(
-      oh.pops.begin(), oh.pops.end(), pop,
-      [](const PopHolders& ph, PopId p) { return ph.pop < p; });
-  if (pop_it == oh.pops.end() || pop_it->pop != pop) {
-    pop_it = oh.pops.insert(pop_it, PopHolders{pop, {}});
+  const auto pop_it = std::lower_bound(pops.begin(), pops.end(), pop, &pop_before);
+  if (pop_it == pops.end() || pop_it->pop != pop) {
+    pops.insert(pop_it, PopHolders{pop, {t}});
+  } else {
+    std::vector<TreeIndex>& nodes = pop_it->nodes;
+    const auto at = std::lower_bound(nodes.begin(), nodes.end(), t);
+    if (at != nodes.end() && *at == t) {
+      throw std::logic_error("HolderIndex::add: duplicate holder");
+    }
+    nodes.insert(at, t);
   }
-  std::vector<TreeIndex>& nodes = pop_it->nodes;
-  nodes.insert(std::lower_bound(nodes.begin(), nodes.end(), t), t);
+  ++size_;
 }
 
 void HolderIndex::remove(std::uint32_t object, GlobalNodeId node) {
-  if (membership_.erase(key(object, node)) == 0) {
-    throw std::logic_error("HolderIndex::remove: node was not a holder");
-  }
+  const auto not_held = [] {
+    return std::logic_error("HolderIndex::remove: node was not a holder");
+  };
   const auto it = holders_.find(object);
+  if (it == holders_.end()) throw not_held();
   const PopId pop = network_->pop_of(node);
   const TreeIndex t = network_->tree_index_of(node);
   std::vector<PopHolders>& pops = it->second.pops;
-  const auto pop_it = std::lower_bound(
-      pops.begin(), pops.end(), pop,
-      [](const PopHolders& ph, PopId p) { return ph.pop < p; });
+  const auto pop_it = std::lower_bound(pops.begin(), pops.end(), pop, &pop_before);
+  if (pop_it == pops.end() || pop_it->pop != pop) throw not_held();
   std::vector<TreeIndex>& nodes = pop_it->nodes;
-  nodes.erase(std::lower_bound(nodes.begin(), nodes.end(), t));
+  const auto at = std::lower_bound(nodes.begin(), nodes.end(), t);
+  if (at == nodes.end() || *at != t) throw not_held();
+
+  nodes.erase(at);
   if (nodes.empty()) {
     pops.erase(pop_it);
     if (pops.empty()) holders_.erase(it);
   }
+  --size_;
 }
 
 bool HolderIndex::holds(std::uint32_t object, GlobalNodeId node) const {
-  return membership_.count(key(object, node)) != 0;
+  const auto it = holders_.find(object);
+  if (it == holders_.end()) return false;
+  const PopId pop = network_->pop_of(node);
+  const std::vector<PopHolders>& pops = it->second.pops;
+  const auto pop_it = std::lower_bound(pops.begin(), pops.end(), pop, &pop_before);
+  return pop_it != pops.end() && pop_it->pop == pop &&
+         std::binary_search(pop_it->nodes.begin(), pop_it->nodes.end(),
+                            network_->tree_index_of(node));
 }
 
 std::optional<HolderIndex::Candidate> HolderIndex::nearest(std::uint32_t object,

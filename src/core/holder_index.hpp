@@ -8,13 +8,15 @@
 // cost of reaching a holder (root-descent cost) is monotone in its level:
 // the *first* element of a remote PoP's list is always that PoP's best
 // candidate, and cost-ordered walks can stream candidates lazily instead of
-// materializing and sorting them all. A flat (object, node) hash makes
-// membership checks — and the duplicate/absence checks in add/remove — O(1)
-// instead of a linear scan.
+// materializing and sorting them all. The sorted buckets are the only record
+// of membership: add/remove find their position (and reject a duplicate or
+// an absent holder) with the same two binary searches holds() uses.
 //
 // Complexities (H = holders of the object, P = PoPs holding it, L = holders
 // in the query's own PoP):
-//   add/remove/holds     O(1) hash + O(log) bucket search (+ small moves)
+//   add/remove           O(1) object lookup + O(log P + log L) search
+//                        + O(P) or O(L) element moves
+//   holds                O(1) object lookup + O(log P + log L)
 //   nearest              O(L + P)            — was O(H)
 //   cost-ordered walk    O(L·log L + k·log P) for k consumed candidates,
 //                        bounded pops pruned up front — was O(H log H) and
@@ -29,7 +31,6 @@
 #include <limits>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/perf_counters.hpp"
@@ -43,14 +44,16 @@ public:
       : network_(&network) {}
 
   /// Record that `node` now holds `object`. Throws std::logic_error on a
-  /// duplicate insert (the caller — a cache — already deduplicates).
+  /// duplicate insert (the caller — a cache — already deduplicates) and
+  /// then leaves the index unchanged.
   void add(std::uint32_t object, topology::GlobalNodeId node);
 
   /// Record that `node` no longer holds `object` (eviction). Throws
-  /// std::logic_error when (object, node) is not tracked.
+  /// std::logic_error when (object, node) is not tracked, and then leaves
+  /// the index unchanged.
   void remove(std::uint32_t object, topology::GlobalNodeId node);
 
-  /// True when `node` is recorded as a holder. O(1).
+  /// True when `node` is recorded as a holder.
   [[nodiscard]] bool holds(std::uint32_t object, topology::GlobalNodeId node) const;
 
   struct Candidate {
@@ -101,7 +104,7 @@ public:
       std::uint32_t object, topology::GlobalNodeId leaf) const;
 
   /// Total (object, node) pairs tracked.
-  [[nodiscard]] std::size_t size() const noexcept { return membership_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Hot-path counters (zero-valued when the perf layer is compiled out).
   [[nodiscard]] const PerfCounters& perf() const noexcept { return perf_; }
@@ -116,8 +119,8 @@ private:
     std::vector<PopHolders> pops;  // sorted by pop id
   };
 
-  static std::uint64_t key(std::uint32_t object, topology::GlobalNodeId node) noexcept {
-    return (static_cast<std::uint64_t>(object) << 32) | node;
+  static bool pop_before(const PopHolders& ph, topology::PopId pop) noexcept {
+    return ph.pop < pop;
   }
 
   struct HeapEntry {
@@ -132,7 +135,7 @@ private:
 
   const topology::HierarchicalNetwork* network_;
   std::unordered_map<std::uint32_t, ObjectHolders> holders_;
-  std::unordered_set<std::uint64_t> membership_;  ///< flat (object, node) keys
+  std::size_t size_ = 0;  ///< (object, node) pairs across all buckets
 
   // --- walk scratch (reused across queries; see class comment) ----------
   static constexpr std::uint32_t kOwnLane = 0xffffffffu;

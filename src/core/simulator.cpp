@@ -150,10 +150,13 @@ std::optional<Simulator::ServeDecision> Simulator::try_local(
   }
 
   // 2. Scoped sibling cooperation (EDGE-Coop and friends, §4.1).
-  if (design_.sibling_cooperation) {
+  const TreeIndex t = network_.tree_index_of(leaf_node);
+  if (design_.sibling_cooperation && t != 0) {
+    const topology::AccessTreeShape& tree = network_.tree();
     const PopId pop = network_.pop_of(leaf_node);
-    const TreeIndex t = network_.tree_index_of(leaf_node);
-    for (const TreeIndex sib : network_.tree().siblings(t)) {
+    const TreeIndex first = tree.first_child(tree.parent(t));
+    for (TreeIndex sib = first; sib < first + tree.arity(); ++sib) {
+      if (sib == t) continue;
       const GlobalNodeId sib_node = network_.global_node(pop, sib);
       cache::Cache* cache = caches_[sib_node].get();
       if (cache != nullptr && has_serving_capacity(sib_node) &&
@@ -192,10 +195,9 @@ Simulator::ServeDecision Simulator::decide_shortest_path(const BoundRequest& req
     const GlobalNodeId node = network_.global_node(pop, t);
     if (try_serve(node)) return ServeDecision{node, false, false};
   }
-  const std::vector<topology::NodeId> core_path =
-      network_.core_paths().path(pop, origin_pop);
-  for (std::size_t i = 1; i < core_path.size(); ++i) {
-    const GlobalNodeId node = network_.pop_root(core_path[i]);
+  network_.core_paths().path(pop, origin_pop, path_scratch_);  // pop ids here
+  for (std::size_t i = 1; i < path_scratch_.size(); ++i) {
+    const GlobalNodeId node = network_.pop_root(path_scratch_[i]);
     if (try_serve(node)) return ServeDecision{node, false, false};
   }
   return ServeDecision{origin_node, true, false};
@@ -378,7 +380,8 @@ SimulationMetrics Simulator::run(const BoundWorkload& workload) {
 
     // --- response transfer and on-path caching -------------------------
     if (decision.node != leaf_node) {
-      const std::vector<GlobalNodeId> response = network_.path(decision.node, leaf_node);
+      std::vector<GlobalNodeId>& response = path_scratch_;
+      network_.path(decision.node, leaf_node, response);
       if (record) {
         for (std::size_t i = 0; i + 1 < response.size(); ++i) {
           const topology::GlobalLinkId link =

@@ -148,6 +148,9 @@ private:
   std::vector<std::uint32_t> served_in_window_;
   std::uint64_t window_cursor_ = 0;
   std::vector<cache::ObjectId> eviction_scratch_;
+  /// The current request's core path (pop ids) during the shortest-path
+  /// decision, then its response path (global node ids).
+  std::vector<topology::GlobalNodeId> path_scratch_;
   std::mt19937_64 decision_rng_{0};  ///< probabilistic cache decision coins
   SimulationMetrics metrics_;
 };

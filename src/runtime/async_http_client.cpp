@@ -133,8 +133,9 @@ void AsyncHttpClient::on_socket_event(bool readable, bool writable, bool error)
     return;
   }
   if (readable || error) {
+    const std::weak_ptr<char> alive{alive_};
     read_input();
-    if (!fd_.valid() || ops_.empty()) return;
+    if (alive.expired() || !fd_.valid() || ops_.empty()) return;
   }
   if (writable && out_offset_ < out_.size()) flush_writes();
 }
@@ -178,7 +179,9 @@ void AsyncHttpClient::read_input() IDICN_REQUIRES(role_) {
       handle_failure("malformed response: " + decoder_.error());
       return;
     }
+    const std::weak_ptr<char> alive{alive_};
     drain_ready();
+    if (alive.expired()) return;
     if (!ops_.empty() && ops_.front().cancelled) {
       // Mid-body cancellation: a half-read body poisons reuse.
       Op op = std::move(ops_.front());
@@ -221,10 +224,14 @@ void AsyncHttpClient::flush_writes() IDICN_REQUIRES(role_) {
 }
 
 void AsyncHttpClient::drain_ready() IDICN_REQUIRES(role_) {
+  // A completion may destroy this client (its owner drops a failed or
+  // unpoolable connection), so no member is touched once `alive` expires.
+  const std::weak_ptr<char> alive{alive_};
   while (!ops_.empty()) {
     auto head = decoder_.next_response();
     if (!head) return;
     complete_front(std::move(*head));
+    if (alive.expired()) return;
   }
 }
 

@@ -58,6 +58,7 @@ TestbedMetrics TraceDriver::run(const core::BoundWorkload& workload) {
   const std::uint64_t range_last =
       std::max<std::uint64_t>(range_first, (2 * object_bytes) / 3);
 
+  std::vector<topology::NodeId> path;  // core path of one response
   const auto run_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < workload.requests.size(); ++i) {
     if (options_.hint_interval != 0 && i != 0 &&
@@ -130,7 +131,7 @@ TestbedMetrics TraceDriver::run(const core::BoundWorkload& workload) {
         const double cost = network.core_cost(bound.pop, *source_pop);
         pop.core_cost += cost;
         metrics.core_cost += cost;
-        const auto path = network.core_paths().path(*source_pop, bound.pop);
+        network.core_paths().path(*source_pop, bound.pop, path);
         for (std::size_t hop = 0; hop + 1 < path.size(); ++hop) {
           const topology::LinkId link =
               network.core().link_between(path[hop], path[hop + 1]);

@@ -1,5 +1,6 @@
 #include "topology/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace idicn::topology {
@@ -82,36 +83,28 @@ unsigned HierarchicalNetwork::hop_count(GlobalNodeId from, GlobalNodeId to) cons
   return tree_.level_of(ta) + core_paths_.hop_count(pa, pb) + tree_.level_of(tb);
 }
 
-std::vector<GlobalNodeId> HierarchicalNetwork::path(GlobalNodeId from,
-                                                    GlobalNodeId to) const {
+void HierarchicalNetwork::path(GlobalNodeId from, GlobalNodeId to,
+                               std::vector<GlobalNodeId>& out) const {
   const PopId pa = pop_of(from);
   const PopId pb = pop_of(to);
-  const TreeIndex ta = tree_index_of(from);
-  const TreeIndex tb = tree_index_of(to);
+  TreeIndex ta = tree_index_of(from);
+  TreeIndex tb = tree_index_of(to);
+  // The path turns at the LCA within one pop, else at the pop roots.
+  const TreeIndex turn = pa == pb ? tree_.lowest_common_ancestor(ta, tb) : 0;
 
-  std::vector<GlobalNodeId> out;
-  if (pa == pb) {
-    for (const TreeIndex t : tree_.path(ta, tb)) {
-      out.push_back(global_node(pa, t));
-    }
-    return out;
+  out.clear();
+  // Up the source tree to the turn (inclusive)…
+  for (; ta != turn; ta = tree_.parent(ta)) out.push_back(global_node(pa, ta));
+  out.push_back(global_node(pa, turn));
+  // …then the rest, walked backward from `to` and reversed in place: up the
+  // destination tree to the turn (exclusive), then the core predecessors
+  // back to the source pop (exclusive).
+  const std::size_t back = out.size();
+  for (; tb != turn; tb = tree_.parent(tb)) out.push_back(global_node(pb, tb));
+  for (PopId p = pb; p != pa; p = core_paths_.predecessor(pa, p)) {
+    out.push_back(pop_root(p));
   }
-
-  // Up the source tree (including the source pop root)…
-  for (const TreeIndex t : tree_.path_to_root(ta)) {
-    out.push_back(global_node(pa, t));
-  }
-  // …across the core (skipping the first pop, already emitted)…
-  const std::vector<NodeId> core_nodes = core_paths_.path(pa, pb);
-  for (std::size_t i = 1; i < core_nodes.size(); ++i) {
-    out.push_back(pop_root(core_nodes[i]));
-  }
-  // …down the destination tree (skipping its root, already emitted).
-  std::vector<TreeIndex> down = tree_.path_to_root(tb);  // tb → … → root
-  for (std::size_t i = down.size() - 1; i-- > 0;) {
-    out.push_back(global_node(pb, down[i]));
-  }
-  return out;
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(back), out.end());
 }
 
 GlobalLinkId HierarchicalNetwork::link_between(GlobalNodeId a, GlobalNodeId b) const {

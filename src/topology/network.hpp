@@ -113,11 +113,12 @@ public:
   }
 
   // --- paths ----------------------------------------------------------
-  /// The full node sequence from → … → to through the hierarchy: up the
-  /// source tree to its root, across the core (through intermediate pop
-  /// roots), and down the destination tree. Same-pop pairs route through
-  /// their LCA only.
-  [[nodiscard]] std::vector<GlobalNodeId> path(GlobalNodeId from, GlobalNodeId to) const;
+  /// Replace `out` with the full node sequence from → … → to through the
+  /// hierarchy: up the source tree to its root, across the core (through
+  /// intermediate pop roots), and down the destination tree. Same-pop pairs
+  /// route through their LCA only. Reusing `out` keeps the simulator's
+  /// per-request response walk allocation-free.
+  void path(GlobalNodeId from, GlobalNodeId to, std::vector<GlobalNodeId>& out) const;
 
   /// The global link joining two adjacent nodes. Throws
   /// std::invalid_argument if the nodes are not adjacent.

@@ -62,17 +62,15 @@ AllPairsShortestPaths::AllPairsShortestPaths(const Graph& graph) {
   }
 }
 
-std::vector<NodeId> AllPairsShortestPaths::path(NodeId from, NodeId to) const {
-  if (distance_[from][to] == kUnreachable) return {};
-  std::vector<NodeId> nodes;
-  NodeId cursor = to;
-  while (cursor != from) {
-    nodes.push_back(cursor);
-    cursor = predecessor_[from][cursor];
+void AllPairsShortestPaths::path(NodeId from, NodeId to,
+                                 std::vector<NodeId>& out) const {
+  out.clear();
+  if (distance_[from][to] == kUnreachable) return;
+  for (NodeId cursor = to; cursor != from; cursor = predecessor_[from][cursor]) {
+    out.push_back(cursor);
   }
-  nodes.push_back(from);
-  std::reverse(nodes.begin(), nodes.end());
-  return nodes;
+  out.push_back(from);
+  std::reverse(out.begin(), out.end());
 }
 
 }  // namespace idicn::topology

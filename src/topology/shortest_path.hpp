@@ -40,8 +40,15 @@ public:
     return hops_[from][to];
   }
 
-  /// The node sequence from → … → to (inclusive). Empty when unreachable.
-  [[nodiscard]] std::vector<NodeId> path(NodeId from, NodeId to) const;
+  /// The node before `to` on the path from `from` (kInvalidNode when
+  /// to == from or `to` is unreachable).
+  [[nodiscard]] NodeId predecessor(NodeId from, NodeId to) const {
+    return predecessor_[from][to];
+  }
+
+  /// Replace `out` with the node sequence from → … → to (inclusive); empty
+  /// when unreachable. Reusing `out` keeps per-request walks allocation-free.
+  void path(NodeId from, NodeId to, std::vector<NodeId>& out) const;
 
   [[nodiscard]] std::size_t node_count() const noexcept { return distance_.size(); }
 

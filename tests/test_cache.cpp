@@ -2,8 +2,11 @@
 // checked across all bounded policies (parameterized).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <random>
 #include <set>
+#include <utility>
 
 #include "cache/admission.hpp"
 #include "cache/budget.hpp"
@@ -69,6 +72,84 @@ TEST(LruCache, EraseFreesSpace) {
   cache->erase(1);
   EXPECT_EQ(cache->object_count(), 1u);
   EXPECT_TRUE(insert(*cache, 3).empty());  // no eviction needed
+}
+
+/// Minimal LRU model for differential testing: a list, most recent first.
+struct ReferenceLru {
+  std::uint64_t capacity = 0;
+  std::uint64_t used = 0;
+  std::list<std::pair<ObjectId, std::uint64_t>> order;
+
+  std::list<std::pair<ObjectId, std::uint64_t>>::iterator find(ObjectId object) {
+    return std::find_if(order.begin(), order.end(),
+                        [&](const auto& entry) { return entry.first == object; });
+  }
+  bool lookup(ObjectId object) {
+    const auto it = find(object);
+    if (it == order.end()) return false;
+    order.splice(order.begin(), order, it);
+    return true;
+  }
+  void insert(ObjectId object, std::uint64_t size, std::vector<ObjectId>& evicted) {
+    if (lookup(object) || size > capacity) return;
+    while (used + size > capacity) {
+      used -= order.back().second;
+      evicted.push_back(order.back().first);
+      order.pop_back();
+    }
+    order.emplace_front(object, size);
+    used += size;
+  }
+  void erase(ObjectId object) {
+    const auto it = find(object);
+    if (it == order.end()) return;
+    used -= it->second;
+    order.erase(it);
+  }
+};
+
+// Seeded insert/lookup/erase against the list model: the same victims in
+// the same order, the same contents and the same accounting after every op.
+// The second phase keeps the index table small and erases heavily, so
+// backward-shift deletion keeps running across the table's wrap-around.
+TEST(LruCache, MatchesListReferenceUnderRandomOps) {
+  struct Phase {
+    std::uint64_t capacity;
+    ObjectId universe;
+    unsigned erase_percent;
+    int ops;
+  };
+  for (const Phase phase : {Phase{60, 150, 10, 5'000}, Phase{12, 32, 45, 10'000}}) {
+    SCOPED_TRACE(phase.capacity);
+    auto cache = make_cache(PolicyKind::Lru, phase.capacity);
+    ReferenceLru reference;
+    reference.capacity = phase.capacity;
+    std::mt19937_64 rng(phase.capacity);
+    std::vector<std::uint64_t> size_of(phase.universe);
+    for (std::uint64_t& size : size_of) size = 1 + rng() % 7;
+
+    for (int op = 0; op < phase.ops; ++op) {
+      const auto object = static_cast<ObjectId>(rng() % phase.universe);
+      const auto dice = static_cast<unsigned>(rng() % 100);
+      std::vector<ObjectId> evicted, expected;
+      if (dice < phase.erase_percent) {
+        cache->erase(object);
+        reference.erase(object);
+      } else if (dice < phase.erase_percent + 30) {
+        ASSERT_EQ(cache->lookup(object), reference.lookup(object)) << "op " << op;
+      } else {
+        cache->insert(object, size_of[object], evicted);
+        reference.insert(object, size_of[object], expected);
+      }
+      ASSERT_EQ(evicted, expected) << "op " << op;
+      ASSERT_EQ(cache->object_count(), reference.order.size()) << "op " << op;
+      ASSERT_EQ(cache->used_units(), reference.used) << "op " << op;
+      for (ObjectId o = 0; o < phase.universe; ++o) {
+        ASSERT_EQ(cache->contains(o), reference.find(o) != reference.order.end())
+            << "op " << op << ", object " << o;
+      }
+    }
+  }
 }
 
 // --- LFU specifics ------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "core/holder_index.hpp"
 #include "topology/pop_topology.hpp"
@@ -42,7 +44,54 @@ TEST(HolderIndex, RemoveUnknownThrows) {
   HolderIndex index(net);
   EXPECT_THROW(index.remove(1, net.leaf(0, 0)), std::logic_error);
   index.add(1, net.leaf(0, 0));
-  EXPECT_THROW(index.remove(1, net.leaf(0, 1)), std::logic_error);
+  EXPECT_THROW(index.remove(1, net.leaf(0, 1)), std::logic_error);  // same PoP
+  EXPECT_THROW(index.remove(1, net.leaf(4, 0)), std::logic_error);  // other PoP
+}
+
+// Every rejected add/remove must leave the index exactly as it was: the
+// duplicate and absence checks run before any bucket is touched.
+TEST(HolderIndex, RejectedCallsLeaveIndexUnchanged) {
+  const auto net = test_network();
+  HolderIndex index(net);
+  EXPECT_FALSE(index.holds(0, net.leaf(0, 0)));  // empty index
+  const GlobalNodeId held[] = {net.leaf(0, 0), net.global_node(0, 2),
+                               net.pop_root(3), net.leaf(7, 5)};
+  for (const GlobalNodeId node : held) index.add(11, node);
+  index.add(12, net.leaf(3, 1));
+
+  const GlobalNodeId leaves[] = {net.leaf(0, 1), net.leaf(3, 4), net.leaf(9, 0)};
+  const auto snapshot = [&] {
+    std::vector<std::pair<double, GlobalNodeId>> answers;
+    for (const GlobalNodeId leaf : leaves) {
+      for (const std::uint32_t object : {11u, 12u, 13u}) {
+        const auto best = index.nearest(object, leaf);
+        answers.emplace_back(best ? best->cost : -1.0, best ? best->node : 0);
+        for (const auto& c : index.candidates_by_cost(object, leaf)) {
+          answers.emplace_back(c.cost, c.node);
+        }
+      }
+    }
+    return answers;
+  };
+  const auto before = snapshot();
+
+  for (const GlobalNodeId node : held) {
+    EXPECT_THROW(index.add(11, node), std::logic_error);
+  }
+  EXPECT_THROW(index.add(12, net.leaf(3, 1)), std::logic_error);
+  EXPECT_THROW(index.remove(13, net.leaf(0, 0)), std::logic_error);  // never added
+  EXPECT_THROW(index.remove(11, net.leaf(5, 0)), std::logic_error);  // PoP holds none
+  EXPECT_THROW(index.remove(11, net.leaf(0, 2)), std::logic_error);  // PoP holds others
+  EXPECT_THROW(index.remove(12, net.leaf(0, 0)), std::logic_error);  // held, other object
+
+  EXPECT_EQ(index.size(), 5u);
+  EXPECT_EQ(snapshot(), before);
+  for (const GlobalNodeId node : held) EXPECT_TRUE(index.holds(11, node));
+  EXPECT_TRUE(index.holds(12, net.leaf(3, 1)));
+  EXPECT_FALSE(index.holds(13, net.leaf(0, 0)));
+  EXPECT_FALSE(index.holds(11, net.leaf(0, 2)));
+  EXPECT_FALSE(index.holds(11, net.leaf(5, 0)));
+  EXPECT_FALSE(index.holds(0xffffffffu, net.leaf(0, 0)));  // id never added
 }
 
 TEST(HolderIndex, NearestEmptyIsNullopt) {

@@ -1,7 +1,8 @@
 // Runtime complement to tools/analysis' hot-path-alloc rule: count real
 // operator-new calls per request on the 1 KB cache-hit serving chain and
 // ratchet the number as a regression bound (ROADMAP item 2 drives it to
-// zero; this test makes every step down permanent).
+// zero; this test makes every step down permanent). The simulator's prefill
+// and per-request replay counts are ratcheted the same way (bottom of file).
 //
 // The measured chain is the single-threaded core of what ServerWorker does
 // per keep-alive request: HttpDecoder::feed on the raw bytes →
@@ -18,18 +19,25 @@
 //                    piecewise serialize_fields, reserved serialize_head.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <string>
 
+#include "core/bound_workload.hpp"
+#include "core/design.hpp"
+#include "core/origin_map.hpp"
+#include "core/simulator.hpp"
 #include "idicn/nrs.hpp"
 #include "idicn/origin_server.hpp"
 #include "idicn/proxy.hpp"
 #include "idicn/reverse_proxy.hpp"
 #include "net/http_decoder.hpp"
 #include "net/http_message.hpp"
+#include "topology/pop_topology.hpp"
 
 namespace {
 
@@ -197,6 +205,84 @@ TEST(HotPathAllocs, CountingHookDetectsInjectedAllocation) {
       << "the counting hook missed an injected allocation — every form of "
          "operator new must funnel through it";
   EXPECT_GT(with_injection, clean);
+}
+
+// --- simulator: prefill and replay ----------------------------------------
+//
+// The six designs of the sim-att benchmark, replayed on Géant (k=2, d=5)
+// with 40k requests over 4k objects. Prefill counts operator-new calls from
+// Simulator::run entry to the first request-observer call; replay counts
+// them per request from that call to the last one.
+//
+// History of the measured numbers (libstdc++ 12; prefill allocations /
+// replay allocations per request):
+//   hash-node indexes:  NO-CACHE 19 / 11.57, ICN-SP 294310 / 4.92,
+//                       ICN-NR 605095 / 7.27, EDGE 149715 / 3.56,
+//                       EDGE-Coop 149715 / 3.83, EDGE-Norm 287444 / 2.60 —
+//                       one hash node per cached (object, node) pair in
+//                       HolderIndex's membership set and in every LRU index,
+//                       plus fresh path and sibling vectors per request.
+//   flat indexes:       NO-CACHE 12 / 0.000, ICN-SP 18915 / 0.035,
+//                       ICN-NR 52966 / 1.382, EDGE 9619 / 0.018,
+//                       EDGE-Coop 9619 / 0.018, EDGE-Norm 11028 / 0.018 —
+//                       membership lives in HolderIndex's sorted buckets,
+//                       LRU indexes are open-addressing tables, and replay
+//                       reuses scratch paths. What is left is warm-up growth
+//                       (slot, table and free-list vectors) and, for ICN-NR,
+//                       HolderIndex's per-PoP bucket churn.
+// The bounds below leave small slack for stdlib variance across CI images,
+// not for regressions. Lower them when you lower the counts.
+struct SimRatchet {
+  const char* design;
+  std::uint64_t prefill;      ///< allocations, whole prefill
+  double replay_per_request;  ///< allocations per replayed request
+};
+constexpr SimRatchet kSimRatchets[] = {
+    {"NO-CACHE", 16, 0.01},     {"ICN-SP", 20'000, 0.05},
+    {"ICN-NR", 56'000, 1.5},    {"EDGE", 10'500, 0.03},
+    {"EDGE-Coop", 10'500, 0.03}, {"EDGE-Norm", 12'000, 0.03},
+};
+
+TEST(HotPathAllocs, SimulatorPrefillAndReplayStayUnderRatchet) {
+  const topology::HierarchicalNetwork network(topology::make_geant(),
+                                              topology::AccessTreeShape(2, 5));
+  core::SyntheticWorkloadSpec spec;
+  spec.request_count = 40'000;
+  spec.object_count = 4'000;
+  spec.seed = 13;
+  const core::BoundWorkload workload = core::bind_synthetic(network, spec);
+  const core::OriginMap origins(network, spec.object_count,
+                                core::OriginAssignment::PopulationProportional, 13);
+
+  for (const core::DesignSpec& design :
+       {core::no_cache(), core::icn_sp(), core::icn_nr(), core::edge(),
+        core::edge_coop(), core::edge_norm()}) {
+    core::Simulator simulator(network, origins, design, core::SimulationConfig{});
+    std::uint64_t first = 0, last = 0;
+    std::size_t calls = 0;
+    simulator.set_request_observer([&](std::size_t) {
+      last = allocation_count();
+      if (calls++ == 0) first = last;
+    });
+    const std::uint64_t start = allocation_count();
+    const core::SimulationMetrics metrics = simulator.run(workload);
+    ASSERT_EQ(calls, workload.requests.size());
+    ASSERT_GT(metrics.request_count, 0u);
+
+    const std::uint64_t prefill = first - start;
+    const double per_request =
+        static_cast<double>(last - first) / static_cast<double>(calls - 1);
+    std::printf("[hot-path] %-9s prefill %llu allocations, replay %.3f "
+                "allocations/request\n",
+                design.name.c_str(), static_cast<unsigned long long>(prefill),
+                per_request);
+    const auto ratchet =
+        std::find_if(std::begin(kSimRatchets), std::end(kSimRatchets),
+                     [&](const SimRatchet& r) { return design.name == r.design; });
+    ASSERT_NE(ratchet, std::end(kSimRatchets)) << design.name;
+    EXPECT_LE(prefill, ratchet->prefill) << design.name;
+    EXPECT_LE(per_request, ratchet->replay_per_request) << design.name;
+  }
 }
 
 }  // namespace

@@ -58,8 +58,9 @@ TEST(Network, DistanceMatchesPathLength) {
       {net.pop_root(2), net.leaf(9, 1)}, {net.leaf(4, 2), net.pop_root(4)},
       {net.global_node(3, 1), net.global_node(7, 4)},
   };
+  std::vector<GlobalNodeId> path;
   for (const auto& [from, to] : pairs) {
-    const std::vector<GlobalNodeId> path = net.path(from, to);
+    net.path(from, to, path);
     ASSERT_GE(path.size(), 1u);
     EXPECT_EQ(path.front(), from);
     EXPECT_EQ(path.back(), to);
@@ -71,10 +72,49 @@ TEST(Network, DistanceMatchesPathLength) {
   }
 }
 
+// The exact node order matters: congestion counts and on-path caching follow
+// it. It must equal the LCA tree path within a pop, and otherwise the source
+// tree's climb, the core's tie-broken shortest path and the destination
+// tree's descent.
+TEST(Network, PathComposesTreeAndCorePaths) {
+  const HierarchicalNetwork net(make_geant(), AccessTreeShape(3, 3));
+  const AccessTreeShape& tree = net.tree();
+  std::vector<GlobalNodeId> path;
+  std::vector<NodeId> core;
+  for (GlobalNodeId from = 0; from < net.node_count(); from += 7) {
+    for (GlobalNodeId to = 0; to < net.node_count(); to += 11) {
+      const PopId pa = net.pop_of(from);
+      const PopId pb = net.pop_of(to);
+      std::vector<GlobalNodeId> expected;
+      if (pa == pb) {
+        for (const TreeIndex t : tree.path(net.tree_index_of(from), net.tree_index_of(to))) {
+          expected.push_back(net.global_node(pa, t));
+        }
+      } else {
+        for (const TreeIndex t : tree.path_to_root(net.tree_index_of(from))) {
+          expected.push_back(net.global_node(pa, t));
+        }
+        net.core_paths().path(pa, pb, core);
+        for (std::size_t i = 1; i < core.size(); ++i) {
+          expected.push_back(net.pop_root(core[i]));
+        }
+        const std::vector<TreeIndex> up = tree.path_to_root(net.tree_index_of(to));
+        for (std::size_t i = up.size() - 1; i-- > 0;) {
+          expected.push_back(net.global_node(pb, up[i]));
+        }
+      }
+      net.path(from, to, path);
+      ASSERT_EQ(path, expected) << from << " -> " << to;
+    }
+  }
+}
+
 TEST(Network, PathToSelfIsSingleton) {
   const HierarchicalNetwork net = small_network();
   const GlobalNodeId a = net.leaf(3, 3);
-  EXPECT_EQ(net.path(a, a), std::vector<GlobalNodeId>{a});
+  std::vector<GlobalNodeId> path{7, 8, 9};  // stale contents are replaced
+  net.path(a, a, path);
+  EXPECT_EQ(path, std::vector<GlobalNodeId>{a});
   EXPECT_DOUBLE_EQ(net.distance(a, a), 0.0);
 }
 

@@ -98,10 +98,11 @@ TEST(Dijkstra, ShortestDistances) {
 TEST(AllPairs, SymmetricAndConsistent) {
   const Graph g = diamond();
   const AllPairsShortestPaths apsp(g);
+  std::vector<NodeId> path;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     for (NodeId v = 0; v < g.node_count(); ++v) {
       EXPECT_DOUBLE_EQ(apsp.distance(u, v), apsp.distance(v, u));
-      const std::vector<NodeId> path = apsp.path(u, v);
+      apsp.path(u, v, path);
       ASSERT_FALSE(path.empty());
       EXPECT_EQ(path.front(), u);
       EXPECT_EQ(path.back(), v);
@@ -119,7 +120,10 @@ TEST(AllPairs, DeterministicTieBreak) {
   const Graph g = diamond();
   const AllPairsShortestPaths a(g);
   const AllPairsShortestPaths b(g);
-  EXPECT_EQ(a.path(0, 3), b.path(0, 3));
+  std::vector<NodeId> path_a, path_b;
+  a.path(0, 3, path_a);
+  b.path(0, 3, path_b);
+  EXPECT_EQ(path_a, path_b);
 }
 
 TEST(AllPairs, TriangleInequalityOnRandomGraphs) {
