@@ -34,6 +34,7 @@ public:
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override { inner_->erase(object); }
+  void presize(std::size_t objects) override { inner_->presize(objects); }
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return inner_->object_count();

@@ -49,6 +49,14 @@ public:
   /// Remove `object` if present.
   virtual void erase(ObjectId object) = 0;
 
+  /// Hint that the cache is about to hold about `objects` objects (the
+  /// simulator's warm start passes the size of the prefix it will insert),
+  /// so a policy may size its internal tables once instead of growing them
+  /// step by step. It is only a hint: it never changes contents, recency
+  /// or victim order, and a count below the current object count is
+  /// harmless. The default does nothing.
+  virtual void presize(std::size_t /*objects*/) {}
+
   [[nodiscard]] virtual std::size_t object_count() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t used_units() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t capacity_units() const noexcept = 0;

@@ -1,5 +1,7 @@
 #include "cache/lru_cache.hpp"
 
+#include <bit>
+
 namespace idicn::cache {
 namespace {
 
@@ -65,10 +67,10 @@ void LruCache::erase_bucket(std::size_t bucket) noexcept {
   table_[hole] = kNil;
 }
 
-void LruCache::grow_table() {
-  std::vector<std::uint32_t> old(table_.size() * 2, kNil);
-  old.swap(table_);  // table_ is now the empty doubled table
-  --table_shift_;
+void LruCache::resize_table(std::size_t buckets) {
+  std::vector<std::uint32_t> old(buckets, kNil);
+  old.swap(table_);  // table_ is now the empty resized table
+  table_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
   const std::size_t mask = table_.size() - 1;
   for (const std::uint32_t slot : old) {
     if (slot == kNil) continue;
@@ -119,7 +121,7 @@ void LruCache::insert(ObjectId object, std::uint64_t size,
   }
   slots_[slot] = Slot{object, size, kNil, kNil};
   link_front(slot);
-  if (2 * object_count() > table_.size()) grow_table();
+  if (2 * object_count() > table_.size()) resize_table(table_.size() * 2);
   table_[find_bucket(object)] = slot;
   used_ += size;
 }
@@ -132,6 +134,12 @@ void LruCache::erase(ObjectId object) {
   erase_bucket(bucket);
   unlink(slot);
   free_slots_.push_back(slot);
+}
+
+void LruCache::presize(std::size_t objects) {
+  slots_.reserve(objects);
+  const std::size_t buckets = std::bit_ceil(2 * objects);
+  if (buckets > table_.size()) resize_table(buckets);
 }
 
 }  // namespace idicn::cache

@@ -7,7 +7,9 @@
 // 1/2 by doubling, and backward-shift deletion, so no tombstones build up
 // under eviction churn. All operations are O(1) expected; the hot path
 // allocates nothing after warm-up (the slot vector, free list and table
-// only grow).
+// only grow). presize(n) reserves n slots and allocates the table at the
+// size doubling would reach for n objects, the smallest power of two
+// >= 2n, in one step.
 #pragma once
 
 #include <vector>
@@ -25,6 +27,7 @@ public:
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
+  void presize(std::size_t objects) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return slots_.size() - free_slots_.size();
@@ -54,7 +57,8 @@ private:
   [[nodiscard]] std::size_t find_bucket(ObjectId object) const noexcept;
   /// Empty `bucket`, shifting later entries of its probe run back.
   void erase_bucket(std::size_t bucket) noexcept;
-  void grow_table();
+  /// Rehash every entry into a fresh table of `buckets` (a power of two).
+  void resize_table(std::size_t buckets);
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;

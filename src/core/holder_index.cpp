@@ -1,6 +1,7 @@
 #include "core/holder_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace idicn::core {
@@ -9,22 +10,53 @@ using topology::GlobalNodeId;
 using topology::PopId;
 using topology::TreeIndex;
 
+HolderIndex::HolderIndex(const topology::HierarchicalNetwork& network)
+    : network_(&network),
+      words_((network.tree().node_count() + kWordBits - 1) / kWordBits),
+      stride_(1 + words_) {}
+
+std::size_t HolderIndex::find_record(const std::vector<Word>& records,
+                                     PopId pop) const noexcept {
+  std::size_t lo = 0;
+  std::size_t hi = records.size() / stride_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (records[mid * stride_] < pop) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo * stride_;
+}
+
+TreeIndex HolderIndex::next_holder(const Word* mask, TreeIndex from) const noexcept {
+  // Bits at T and above are never set, so W·64 >= T means "none".
+  const auto none = static_cast<TreeIndex>(words_ * kWordBits);
+  std::size_t w = from / kWordBits;
+  if (w >= words_) return none;
+  Word bits = mask[w] & (~Word{0} << (from % kWordBits));
+  while (bits == 0) {
+    if (++w == words_) return none;
+    bits = mask[w];
+  }
+  return static_cast<TreeIndex>(w * kWordBits + std::countr_zero(bits));
+}
+
 void HolderIndex::add(std::uint32_t object, GlobalNodeId node) {
   const PopId pop = network_->pop_of(node);
   const TreeIndex t = network_->tree_index_of(node);
-  std::vector<PopHolders>& pops = holders_[object].pops;
-
-  const auto pop_it = std::lower_bound(pops.begin(), pops.end(), pop, &pop_before);
-  if (pop_it == pops.end() || pop_it->pop != pop) {
-    pops.insert(pop_it, PopHolders{pop, {t}});
-  } else {
-    std::vector<TreeIndex>& nodes = pop_it->nodes;
-    const auto at = std::lower_bound(nodes.begin(), nodes.end(), t);
-    if (at != nodes.end() && *at == t) {
-      throw std::logic_error("HolderIndex::add: duplicate holder");
-    }
-    nodes.insert(at, t);
+  std::vector<Word>& records = holders_[object];
+  const std::size_t at = find_record(records, pop);
+  if (at == records.size() || records[at] != pop) {
+    records.insert(records.begin() + static_cast<std::ptrdiff_t>(at), stride_, 0);
+    records[at] = pop;
   }
+  Word& word = records[at + 1 + t / kWordBits];
+  const Word bit = Word{1} << (t % kWordBits);
+  // Only a record that existed before this call can have the bit set.
+  if ((word & bit) != 0) throw std::logic_error("HolderIndex::add: duplicate holder");
+  word |= bit;
   ++size_;
 }
 
@@ -36,17 +68,19 @@ void HolderIndex::remove(std::uint32_t object, GlobalNodeId node) {
   if (it == holders_.end()) throw not_held();
   const PopId pop = network_->pop_of(node);
   const TreeIndex t = network_->tree_index_of(node);
-  std::vector<PopHolders>& pops = it->second.pops;
-  const auto pop_it = std::lower_bound(pops.begin(), pops.end(), pop, &pop_before);
-  if (pop_it == pops.end() || pop_it->pop != pop) throw not_held();
-  std::vector<TreeIndex>& nodes = pop_it->nodes;
-  const auto at = std::lower_bound(nodes.begin(), nodes.end(), t);
-  if (at == nodes.end() || *at != t) throw not_held();
+  std::vector<Word>& records = it->second;
+  const std::size_t at = find_record(records, pop);
+  if (at == records.size() || records[at] != pop) throw not_held();
+  Word& word = records[at + 1 + t / kWordBits];
+  const Word bit = Word{1} << (t % kWordBits);
+  if ((word & bit) == 0) throw not_held();
 
-  nodes.erase(at);
-  if (nodes.empty()) {
-    pops.erase(pop_it);
-    if (pops.empty()) holders_.erase(it);
+  word &= ~bit;
+  const auto record = records.begin() + static_cast<std::ptrdiff_t>(at);
+  const auto record_end = record + static_cast<std::ptrdiff_t>(stride_);
+  if (std::all_of(record + 1, record_end, [](Word w) { return w == 0; })) {
+    records.erase(record, record_end);
+    if (records.empty()) holders_.erase(it);
   }
   --size_;
 }
@@ -55,11 +89,11 @@ bool HolderIndex::holds(std::uint32_t object, GlobalNodeId node) const {
   const auto it = holders_.find(object);
   if (it == holders_.end()) return false;
   const PopId pop = network_->pop_of(node);
-  const std::vector<PopHolders>& pops = it->second.pops;
-  const auto pop_it = std::lower_bound(pops.begin(), pops.end(), pop, &pop_before);
-  return pop_it != pops.end() && pop_it->pop == pop &&
-         std::binary_search(pop_it->nodes.begin(), pop_it->nodes.end(),
-                            network_->tree_index_of(node));
+  const TreeIndex t = network_->tree_index_of(node);
+  const std::vector<Word>& records = it->second;
+  const std::size_t at = find_record(records, pop);
+  return at != records.size() && records[at] == pop &&
+         ((records[at + 1 + t / kWordBits] >> (t % kWordBits)) & 1) != 0;
 }
 
 std::optional<HolderIndex::Candidate> HolderIndex::nearest(std::uint32_t object,
@@ -71,6 +105,7 @@ std::optional<HolderIndex::Candidate> HolderIndex::nearest(std::uint32_t object,
 
   const PopId own_pop = network_->pop_of(leaf);
   const double leaf_up = network_->root_to_level_cost(network_->level_of(leaf));
+  const TreeIndex tree_nodes = network_->tree().node_count();
 
   bool found = false;
   Candidate best{};
@@ -81,29 +116,33 @@ std::optional<HolderIndex::Candidate> HolderIndex::nearest(std::uint32_t object,
     }
   };
 
-  for (const PopHolders& ph : it->second.pops) {
-    if (ph.pop == own_pop) {
+  const std::vector<Word>& records = it->second;
+  for (std::size_t at = 0; at < records.size(); at += stride_) {
+    const auto pop = static_cast<PopId>(records[at]);
+    const Word* mask = records.data() + at + 1;
+    if (pop == own_pop) {
       // Exact tree distance to every holder in the local tree.
       perf_.bump(&PerfCounters::pops_scanned);
-      perf_.bump(&PerfCounters::candidates_visited, ph.nodes.size());
-      for (const TreeIndex t : ph.nodes) {
-        const GlobalNodeId node = network_->global_node(ph.pop, t);
+      for (TreeIndex t = next_holder(mask, 0); t < tree_nodes;
+           t = next_holder(mask, t + 1)) {
+        perf_.bump(&PerfCounters::candidates_visited);
+        const GlobalNodeId node = network_->global_node(pop, t);
         consider(node, network_->distance(leaf, node));
       }
     } else {
       // Crossing the core costs leaf_up + core + descent; descent cost is
-      // monotone in level and the bucket is level-ordered, so the bucket's
-      // first node dominates every other holder in this PoP (strictly
-      // cheaper, or equal-cost with a lower node id).
-      const double base = leaf_up + network_->core_cost(own_pop, ph.pop);
+      // monotone in level and tree indices are level-ordered, so the lowest
+      // set bit dominates every other holder in this PoP (strictly cheaper,
+      // or equal-cost with a lower node id).
+      const double base = leaf_up + network_->core_cost(own_pop, pop);
       if (base > max_cost || (found && base > best.cost)) {
         perf_.bump(&PerfCounters::pops_pruned);
         continue;
       }
       perf_.bump(&PerfCounters::pops_scanned);
       perf_.bump(&PerfCounters::candidates_visited);
-      const TreeIndex t = ph.nodes.front();
-      consider(network_->global_node(ph.pop, t),
+      const TreeIndex t = next_holder(mask, 0);
+      consider(network_->global_node(pop, t),
                base + network_->root_to_level_cost(network_->tree().level_of(t)));
     }
   }
@@ -137,13 +176,18 @@ HolderIndex::Walk HolderIndex::walk(std::uint32_t object, GlobalNodeId leaf,
 
   const PopId own_pop = network_->pop_of(leaf);
   const double leaf_up = network_->root_to_level_cost(network_->level_of(leaf));
+  const TreeIndex tree_nodes = network_->tree().node_count();
 
-  for (const PopHolders& ph : it->second.pops) {
-    if (ph.pop == own_pop) {
+  const std::vector<Word>& records = it->second;
+  for (std::size_t at = 0; at < records.size(); at += stride_) {
+    const auto pop = static_cast<PopId>(records[at]);
+    const Word* mask = records.data() + at + 1;
+    if (pop == own_pop) {
       // Own-PoP costs are exact tree distances (not level-monotone), so
-      // this one small bucket is materialized and sorted up front.
-      for (const TreeIndex t : ph.nodes) {
-        const GlobalNodeId node = network_->global_node(ph.pop, t);
+      // this one small set of holders is materialized and sorted up front.
+      for (TreeIndex t = next_holder(mask, 0); t < tree_nodes;
+           t = next_holder(mask, t + 1)) {
+        const GlobalNodeId node = network_->global_node(pop, t);
         own_sorted_.push_back(Candidate{node, network_->distance(leaf, node)});
       }
       std::sort(own_sorted_.begin(), own_sorted_.end(),
@@ -158,8 +202,8 @@ HolderIndex::Walk HolderIndex::walk(std::uint32_t object, GlobalNodeId leaf,
         walk_cut_ = true;
       }
     } else {
-      const double base = leaf_up + network_->core_cost(own_pop, ph.pop);
-      const TreeIndex t0 = ph.nodes.front();
+      const double base = leaf_up + network_->core_cost(own_pop, pop);
+      const TreeIndex t0 = next_holder(mask, 0);
       const double cost0 =
           base + network_->root_to_level_cost(network_->tree().level_of(t0));
       if (cost0 > max_cost) {
@@ -169,9 +213,8 @@ HolderIndex::Walk HolderIndex::walk(std::uint32_t object, GlobalNodeId leaf,
         continue;
       }
       perf_.bump(&PerfCounters::pops_scanned);
-      lanes_.push_back(Lane{&ph.nodes, base, 0,
-                            network_->global_node(ph.pop, 0)});
-      heap_push(cost0, network_->global_node(ph.pop, t0),
+      lanes_.push_back(Lane{mask, base, t0, network_->global_node(pop, 0)});
+      heap_push(cost0, network_->global_node(pop, t0),
                 static_cast<std::uint32_t>(lanes_.size() - 1));
     }
   }
@@ -203,12 +246,12 @@ std::optional<HolderIndex::Candidate> HolderIndex::walk_next() const {
     }
   } else {
     Lane& lane = lanes_[top.lane];
-    if (++lane.next < lane.nodes->size()) {
-      const TreeIndex t = (*lane.nodes)[lane.next];
-      const double cost =
-          lane.base + network_->root_to_level_cost(network_->tree().level_of(t));
+    lane.holder = next_holder(lane.mask, lane.holder + 1);
+    if (lane.holder < network_->tree().node_count()) {
+      const double cost = lane.base + network_->root_to_level_cost(
+                                          network_->tree().level_of(lane.holder));
       if (cost <= walk_max_cost_) {
-        heap_push(cost, lane.node_base + t, top.lane);
+        heap_push(cost, lane.node_base + lane.holder, top.lane);
       } else {
         walk_cut_ = true;
       }

@@ -2,25 +2,33 @@
 //
 // The paper conservatively assumes nearest-replica lookup is free (§3); the
 // simulator therefore maintains an oracle of which caches currently hold
-// each object. The index is organized per object as per-PoP holder lists
-// kept sorted by tree index. Complete k-ary trees number nodes in level
-// order, so tree-index order IS level order, and within a remote PoP the
-// cost of reaching a holder (root-descent cost) is monotone in its level:
-// the *first* element of a remote PoP's list is always that PoP's best
-// candidate, and cost-ordered walks can stream candidates lazily instead of
-// materializing and sorting them all. The sorted buckets are the only record
-// of membership: add/remove find their position (and reject a duplicate or
-// an absent holder) with the same two binary searches holds() uses.
+// each object. Each object maps to one flat vector of per-PoP records,
+// sorted by PoP id. A record is 1 + W words: the PoP id, then a bitmask of
+// W = ceil(T / 64) words for a tree of T nodes, whose bit t is set when
+// tree node t of that PoP holds the object. A record exists only while its
+// mask has a bit set, and an object's entry only while it has a record.
+// The records are the only record of membership: add/remove/holds
+// binary-search the PoP, then touch one bit (and reject a duplicate or an
+// absent holder there).
 //
-// Complexities (H = holders of the object, P = PoPs holding it, L = holders
-// in the query's own PoP):
-//   add/remove           O(1) object lookup + O(log P + log L) search
-//                        + O(P) or O(L) element moves
-//   holds                O(1) object lookup + O(log P + log L)
-//   nearest              O(L + P)            — was O(H)
-//   cost-ordered walk    O(L·log L + k·log P) for k consumed candidates,
-//                        bounded pops pruned up front — was O(H log H) and
-//                        one vector allocation per query.
+// Complete k-ary trees number nodes in level order, so tree-index order IS
+// level order, and within a remote PoP the cost of reaching a holder
+// (root-descent cost) is monotone in its level: the *lowest set bit* of a
+// remote PoP's mask is always that PoP's best candidate (strictly cheaper
+// than any other holder there, or equal-cost with a lower node id), and
+// cost-ordered walks stream a PoP's holders by stepping to the next set
+// bit instead of materializing and sorting them all.
+//
+// Complexities (P = PoPs holding the object, L = holders in the query's
+// own PoP, W = mask words per record):
+//   add/remove           O(1) object lookup + O(log P) record search
+//                        + O(1) bit update; O(P·W) word moves when a
+//                        record is created or dropped
+//   holds                O(1) object lookup + O(log P)
+//   nearest              O(L + P·W)
+//   cost-ordered walk    O(L·log L + P·W + k·(log P + W)) for k consumed
+//                        candidates, bounded PoPs pruned up front, with no
+//                        allocation once the scratch buffers have grown.
 //
 // Queries reuse index-owned scratch buffers, so a single HolderIndex must
 // not be queried from multiple threads concurrently (each Simulator owns
@@ -40,8 +48,7 @@ namespace idicn::core {
 
 class HolderIndex {
 public:
-  explicit HolderIndex(const topology::HierarchicalNetwork& network)
-      : network_(&network) {}
+  explicit HolderIndex(const topology::HierarchicalNetwork& network);
 
   /// Record that `node` now holds `object`. Throws std::logic_error on a
   /// duplicate insert (the caller — a cache — already deduplicates) and
@@ -111,17 +118,17 @@ public:
   void reset_perf() noexcept { perf_.reset(); }
 
 private:
-  struct PopHolders {
-    topology::PopId pop = 0;
-    std::vector<topology::TreeIndex> nodes;  // sorted ascending == level order
-  };
-  struct ObjectHolders {
-    std::vector<PopHolders> pops;  // sorted by pop id
-  };
+  using Word = std::uint64_t;
+  static constexpr unsigned kWordBits = 64;
 
-  static bool pop_before(const PopHolders& ph, topology::PopId pop) noexcept {
-    return ph.pop < pop;
-  }
+  /// Word offset of `pop`'s record in `records`, or of the record that
+  /// would follow it (records.size() when there is none).
+  [[nodiscard]] std::size_t find_record(const std::vector<Word>& records,
+                                        topology::PopId pop) const noexcept;
+  /// Lowest set bit at or after `from` in the W-word `mask`: the PoP's
+  /// next holder in level order, or a value >= T when there is none.
+  [[nodiscard]] topology::TreeIndex next_holder(const Word* mask,
+                                                topology::TreeIndex from) const noexcept;
 
   struct HeapEntry {
     double cost = 0.0;
@@ -134,15 +141,17 @@ private:
   void heap_push(double cost, topology::GlobalNodeId node, std::uint32_t lane) const;
 
   const topology::HierarchicalNetwork* network_;
-  std::unordered_map<std::uint32_t, ObjectHolders> holders_;
-  std::size_t size_ = 0;  ///< (object, node) pairs across all buckets
+  std::size_t words_;   ///< W: mask words per record
+  std::size_t stride_;  ///< 1 + W: words per record
+  std::unordered_map<std::uint32_t, std::vector<Word>> holders_;  ///< records
+  std::size_t size_ = 0;  ///< (object, node) pairs across all records
 
   // --- walk scratch (reused across queries; see class comment) ----------
   static constexpr std::uint32_t kOwnLane = 0xffffffffu;
   struct Lane {
-    const std::vector<topology::TreeIndex>* nodes = nullptr;  ///< remote lanes
+    const Word* mask = nullptr;       ///< the remote PoP's record mask
     double base = 0.0;                ///< leaf-up + core cost to this PoP
-    std::size_t next = 0;             ///< cursor into nodes / own_sorted_
+    topology::TreeIndex holder = 0;   ///< cursor: this lane's current holder
     topology::GlobalNodeId node_base = 0;  ///< pop * tree node count
   };
   mutable std::vector<Lane> lanes_;

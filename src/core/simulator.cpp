@@ -264,6 +264,7 @@ void Simulator::prefill(const BoundWorkload& workload) {
       used += size_of[object];
       chosen.push_back(object);
     }
+    cache->presize(chosen.size());
     // Insert least-popular first so the most popular object is MRU.
     for (std::size_t i = chosen.size(); i-- > 0;) {
       store_on_path(chosen[i], size_of[chosen[i]], n, origins_.origin_pop(chosen[i]));

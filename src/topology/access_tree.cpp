@@ -61,18 +61,6 @@ TreeIndex AccessTreeShape::first_child(TreeIndex node) const {
   return node * arity_ + 1;
 }
 
-std::vector<TreeIndex> AccessTreeShape::siblings(TreeIndex node) const {
-  if (node == 0) return {};
-  const TreeIndex p = parent(node);
-  const TreeIndex first = p * arity_ + 1;
-  std::vector<TreeIndex> out;
-  out.reserve(arity_ - 1);
-  for (TreeIndex c = first; c < first + arity_; ++c) {
-    if (c != node) out.push_back(c);
-  }
-  return out;
-}
-
 TreeIndex AccessTreeShape::lowest_common_ancestor(TreeIndex a, TreeIndex b) const {
   unsigned la = level_of(a);
   unsigned lb = level_of(b);

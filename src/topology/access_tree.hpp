@@ -50,10 +50,6 @@ public:
   /// [first_child, first_child + arity).
   [[nodiscard]] TreeIndex first_child(TreeIndex node) const;
 
-  /// Siblings of `node` (same parent, excluding `node` itself). Empty for
-  /// the root.
-  [[nodiscard]] std::vector<TreeIndex> siblings(TreeIndex node) const;
-
   /// Hop distance between two nodes of the same tree.
   [[nodiscard]] unsigned hop_distance(TreeIndex a, TreeIndex b) const;
 

@@ -35,19 +35,6 @@ TEST(AccessTree, ParentChildRelations) {
   EXPECT_THROW((void)shape.first_child(shape.leaf(0)), std::invalid_argument);
 }
 
-TEST(AccessTree, SiblingsBinary) {
-  const AccessTreeShape shape(2, 3);
-  EXPECT_EQ(shape.siblings(1), std::vector<TreeIndex>{2});
-  EXPECT_EQ(shape.siblings(2), std::vector<TreeIndex>{1});
-  EXPECT_TRUE(shape.siblings(0).empty());
-}
-
-TEST(AccessTree, SiblingsArity4) {
-  const AccessTreeShape shape(4, 2);
-  const std::vector<TreeIndex> sibs = shape.siblings(2);
-  EXPECT_EQ(sibs, (std::vector<TreeIndex>{1, 3, 4}));
-}
-
 TEST(AccessTree, LcaAndDistance) {
   const AccessTreeShape shape(2, 3);
   // Leaves are indices 7..14. 7 and 8 share parent 3.
@@ -128,7 +115,6 @@ TEST_P(ShapeSweep, StructuralInvariants) {
       EXPECT_EQ(shape.level_of(p), level - 1);
       EXPECT_GE(node, shape.first_child(p));
       EXPECT_LT(node, shape.first_child(p) + arity);
-      EXPECT_EQ(shape.siblings(node).size(), arity - 1);
     }
   }
   for (TreeIndex j = 0; j < shape.leaf_count(); ++j) {

@@ -112,6 +112,9 @@ struct ReferenceLru {
 // the same order, the same contents and the same accounting after every op.
 // The second phase keeps the index table small and erases heavily, so
 // backward-shift deletion keeps running across the table's wrap-around.
+// The presize hint may reshape the index but never the contents: it is
+// given once before the first op and twice mid-stream, above and below the
+// current object count.
 TEST(LruCache, MatchesListReferenceUnderRandomOps) {
   struct Phase {
     std::uint64_t capacity;
@@ -127,12 +130,16 @@ TEST(LruCache, MatchesListReferenceUnderRandomOps) {
     std::mt19937_64 rng(phase.capacity);
     std::vector<std::uint64_t> size_of(phase.universe);
     for (std::uint64_t& size : size_of) size = 1 + rng() % 7;
+    cache->presize(phase.capacity / 4);
 
     for (int op = 0; op < phase.ops; ++op) {
       const auto object = static_cast<ObjectId>(rng() % phase.universe);
       const auto dice = static_cast<unsigned>(rng() % 100);
       std::vector<ObjectId> evicted, expected;
-      if (dice < phase.erase_percent) {
+      if (op == phase.ops / 2) {
+        cache->presize(4 * cache->object_count() + 16);
+        cache->presize(cache->object_count() / 2);
+      } else if (dice < phase.erase_percent) {
         cache->erase(object);
         reference.erase(object);
       } else if (dice < phase.erase_percent + 30) {

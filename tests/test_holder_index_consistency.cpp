@@ -199,7 +199,12 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomTopologyCase{"Abilene", 3, 2},
                       RandomTopologyCase{"Geant", 2, 2},
                       RandomTopologyCase{"Geant", 4, 1},
-                      RandomTopologyCase{"Telstra", 2, 3}),
+                      RandomTopologyCase{"Telstra", 2, 3},
+                      // 65, 127 and 255 tree nodes: holder records whose
+                      // masks span two and four 64-bit words.
+                      RandomTopologyCase{"Abilene", 64, 1},
+                      RandomTopologyCase{"Geant", 2, 6},
+                      RandomTopologyCase{"Abilene", 2, 7}),
     [](const ::testing::TestParamInfo<RandomTopologyCase>& info) {
       return info.param.name + "_k" + std::to_string(info.param.arity) + "_d" +
              std::to_string(info.param.depth);

@@ -99,8 +99,10 @@ public:
   }
   bool on_chunk(core::Chunk chunk) override {
     hasher_.update(chunk.view());
+    // Release: a reader that sees the new byte count (acquire in bytes())
+    // also sees everything on_head stored before the first chunk.
     const std::uint64_t total =
-        bytes_.fetch_add(chunk.size(), std::memory_order_relaxed) +
+        bytes_.fetch_add(chunk.size(), std::memory_order_release) +
         chunk.size();
     if (throttle_every_bytes_ != 0 &&
         total / throttle_every_bytes_ != throttled_marks_) {
@@ -117,7 +119,7 @@ public:
     return head_seen_.load(std::memory_order_acquire);
   }
   [[nodiscard]] std::uint64_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
+    return bytes_.load(std::memory_order_acquire);
   }
   [[nodiscard]] int status() const { return status_; }
   [[nodiscard]] const std::string& x_cache() const { return x_cache_; }

@@ -338,6 +338,15 @@ TEST(ServerGroup, RunOnAllWorkersGetsExclusiveAccessWhileServing) {
     });
   }
 
+  // Wait for live traffic before mutating: on a loaded machine the clients
+  // may not run until all ten generations are done. A run that never gets
+  // served still fails the requests_served check below.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (group.stats().requests_served == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   // Ten generations of a non-atomic mutation, interleaved with live
   // traffic: every parked-workers window must be exclusive.
   for (int generation = 1; generation <= 10; ++generation) {
