@@ -41,4 +41,12 @@ void AdmissionFilteredCache::insert(ObjectId object, std::uint64_t size,
   inner_->insert(object, size, evicted);
 }
 
+void AdmissionFilteredCache::copy_from(const Cache& source) {
+  const auto& other = same_policy<AdmissionFilteredCache>(source);
+  inner_->copy_from(*other.inner_);  // throws before any change on a mismatch
+  slots_ = other.slots_;
+  admissions_ = other.admissions_;
+  rejections_ = other.rejections_;
+}
+
 }  // namespace idicn::cache

@@ -35,6 +35,9 @@ public:
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override { inner_->erase(object); }
   void presize(std::size_t objects) override { inner_->presize(objects); }
+  /// Copies the doorkeeper and the counters, and forwards to the inner
+  /// cache, whose policy must match `source`'s inner policy.
+  void copy_from(const Cache& source) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return inner_->object_count();

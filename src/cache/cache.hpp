@@ -9,10 +9,16 @@
 // every object occupies 1 unit (the paper provisions caches as a fraction
 // of the object universe); the heterogeneous-object-size variation (§5)
 // passes real byte sizes instead.
+//
+// Besides the per-request operations, a cache can take another cache's
+// whole state with copy_from (same policy only; see its contract for
+// RandomCache's generator), which the simulator's warm start uses to fill
+// a group of identical caches from one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,12 +63,34 @@ public:
   /// harmless. The default does nothing.
   virtual void presize(std::size_t /*objects*/) {}
 
+  /// Become a member-wise copy of `source`: its contents, policy state,
+  /// accounting and capacity (the simulator's warm start fills one cache
+  /// per group of identical caches and copies it to the rest). `source`
+  /// must be the same policy, wrapper included; otherwise this throws
+  /// std::invalid_argument and leaves this cache unchanged. A policy that
+  /// draws random numbers (RandomCache) keeps its own generator, so the
+  /// copy behaves exactly like a cache that received the source's inserts
+  /// only while the source has never drawn from its generator, i.e. has
+  /// never evicted.
+  virtual void copy_from(const Cache& source) = 0;
+
   [[nodiscard]] virtual std::size_t object_count() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t used_units() const noexcept = 0;
   [[nodiscard]] virtual std::uint64_t capacity_units() const noexcept = 0;
 
 protected:
   Cache() = default;
+
+  /// `source` as the calling policy's own type, for copy_from; throws
+  /// std::invalid_argument when it is another policy.
+  template <typename Policy>
+  [[nodiscard]] static const Policy& same_policy(const Cache& source) {
+    const auto* typed = dynamic_cast<const Policy*>(&source);
+    if (typed == nullptr) {
+      throw std::invalid_argument("Cache::copy_from: source is another policy");
+    }
+    return *typed;
+  }
 };
 
 /// Create a cache of the given policy. `seed` is used only by Random.

@@ -57,4 +57,13 @@ void LfuCache::erase(ObjectId object) {
   entries_.erase(it);
 }
 
+void LfuCache::copy_from(const Cache& source) {
+  const LfuCache& other = same_policy<LfuCache>(source);
+  capacity_ = other.capacity_;
+  used_ = other.used_;
+  clock_ = other.clock_;
+  entries_ = other.entries_;
+  order_ = other.order_;
+}
+
 }  // namespace idicn::cache

@@ -23,6 +23,7 @@ public:
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
+  void copy_from(const Cache& source) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return entries_.size();

@@ -142,4 +142,16 @@ void LruCache::presize(std::size_t objects) {
   if (buckets > table_.size()) resize_table(buckets);
 }
 
+void LruCache::copy_from(const Cache& source) {
+  const LruCache& other = same_policy<LruCache>(source);
+  capacity_ = other.capacity_;
+  used_ = other.used_;
+  slots_ = other.slots_;
+  free_slots_ = other.free_slots_;
+  head_ = other.head_;
+  tail_ = other.tail_;
+  table_ = other.table_;
+  table_shift_ = other.table_shift_;
+}
+
 }  // namespace idicn::cache

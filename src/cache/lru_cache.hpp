@@ -28,6 +28,7 @@ public:
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
   void presize(std::size_t objects) override;
+  void copy_from(const Cache& source) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return slots_.size() - free_slots_.size();

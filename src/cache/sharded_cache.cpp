@@ -1,6 +1,7 @@
 #include "cache/sharded_cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/hot_path.hpp"
 
@@ -58,6 +59,10 @@ void ShardedCache::erase(ObjectId object) {
   Shard& shard = *shards_[shard_of(object)];
   const core::sync::MutexLock lock(shard.mutex);
   shard.cache->erase(object);
+}
+
+void ShardedCache::copy_from(const Cache& /*source*/) {
+  throw std::logic_error("ShardedCache::copy_from: not supported");
 }
 
 std::size_t ShardedCache::object_count() const noexcept {

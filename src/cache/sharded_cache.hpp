@@ -42,6 +42,8 @@ class ShardedCache final : public Cache {
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
+  /// Not supported: throws std::logic_error.
+  void copy_from(const Cache& source) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override;
   [[nodiscard]] std::uint64_t used_units() const noexcept override;

@@ -78,6 +78,16 @@ void FifoCache::erase(ObjectId object) {
   entries_.erase(it);  // queue entry becomes stale; skipped on eviction
 }
 
+void FifoCache::copy_from(const Cache& source) {
+  const FifoCache& other = same_policy<FifoCache>(source);
+  capacity_ = other.capacity_;
+  used_ = other.used_;
+  next_seq_ = other.next_seq_;
+  queue_ = other.queue_;
+  queue_head_ = other.queue_head_;
+  entries_ = other.entries_;
+}
+
 // ---------------------------------------------------------------------------
 // RandomCache
 // ---------------------------------------------------------------------------
@@ -121,6 +131,14 @@ void RandomCache::erase(ObjectId object) {
   members_[objects_[position]].position = position;
   objects_.pop_back();
   members_.erase(it);
+}
+
+void RandomCache::copy_from(const Cache& source) {
+  const RandomCache& other = same_policy<RandomCache>(source);
+  capacity_ = other.capacity_;
+  used_ = other.used_;
+  objects_ = other.objects_;
+  members_ = other.members_;
 }
 
 }  // namespace idicn::cache

@@ -24,6 +24,7 @@ public:
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
+  void copy_from(const Cache& source) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return entries_.size();
@@ -59,6 +60,8 @@ public:
   void insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
+  /// Copies everything but the generator: this cache keeps its own seed.
+  void copy_from(const Cache& source) override;
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return members_.size();
@@ -97,6 +100,11 @@ public:
     if (objects_.insert(object).second) used_ += size;
   }
   void erase(ObjectId object) override { objects_.erase(object); }
+  void copy_from(const Cache& source) override {
+    const InfiniteCache& other = same_policy<InfiniteCache>(source);
+    used_ = other.used_;
+    objects_ = other.objects_;
+  }
 
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return objects_.size();

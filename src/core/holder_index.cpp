@@ -60,6 +60,41 @@ void HolderIndex::add(std::uint32_t object, GlobalNodeId node) {
   ++size_;
 }
 
+void HolderIndex::add_group(std::uint32_t object, PopId pop,
+                            std::span<const TreeIndex> tree_nodes) {
+  if (tree_nodes.empty()) return;
+  if (pop >= network_->pop_count()) {
+    throw std::logic_error("HolderIndex::add_group: no such PoP");
+  }
+  // Build the set's mask first, so every check runs before the index changes.
+  group_mask_.assign(words_, 0);
+  const TreeIndex tree_size = network_->tree().node_count();
+  for (const TreeIndex t : tree_nodes) {
+    if (t >= tree_size) throw std::logic_error("HolderIndex::add_group: not a tree node");
+    Word& word = group_mask_[t / kWordBits];
+    const Word bit = Word{1} << (t % kWordBits);
+    if ((word & bit) != 0) {
+      throw std::logic_error("HolderIndex::add_group: node listed twice");
+    }
+    word |= bit;
+  }
+  std::vector<Word>& records = holders_[object];
+  const std::size_t at = find_record(records, pop);
+  if (at == records.size() || records[at] != pop) {
+    records.insert(records.begin() + static_cast<std::ptrdiff_t>(at), stride_, 0);
+    records[at] = pop;
+  } else {
+    // Only a record that existed before this call can overlap the set.
+    for (std::size_t w = 0; w < words_; ++w) {
+      if ((records[at + 1 + w] & group_mask_[w]) != 0) {
+        throw std::logic_error("HolderIndex::add_group: duplicate holder");
+      }
+    }
+  }
+  for (std::size_t w = 0; w < words_; ++w) records[at + 1 + w] |= group_mask_[w];
+  size_ += tree_nodes.size();
+}
+
 void HolderIndex::remove(std::uint32_t object, GlobalNodeId node) {
   const auto not_held = [] {
     return std::logic_error("HolderIndex::remove: node was not a holder");

@@ -9,7 +9,8 @@
 // mask has a bit set, and an object's entry only while it has a record.
 // The records are the only record of membership: add/remove/holds
 // binary-search the PoP, then touch one bit (and reject a duplicate or an
-// absent holder there).
+// absent holder there). add_group ORs a whole set of one PoP's nodes into
+// the record at once; the bitmask format stays private to this class.
 //
 // Complete k-ary trees number nodes in level order, so tree-index order IS
 // level order, and within a remote PoP the cost of reaching a holder
@@ -24,6 +25,7 @@
 //   add/remove           O(1) object lookup + O(log P) record search
 //                        + O(1) bit update; O(P·W) word moves when a
 //                        record is created or dropped
+//   add_group of n nodes as add, plus O(n + W) to build and merge the mask
 //   holds                O(1) object lookup + O(log P)
 //   nearest              O(L + P·W)
 //   cost-ordered walk    O(L·log L + P·W + k·(log P + W)) for k consumed
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -54,6 +57,17 @@ public:
   /// duplicate insert (the caller — a cache — already deduplicates) and
   /// then leaves the index unchanged.
   void add(std::uint32_t object, topology::GlobalNodeId node);
+
+  /// Record every node of `tree_nodes`, tree indices of PoP `pop`, as a
+  /// holder of `object` with one record update (the simulator's warm start
+  /// records each group of identical caches this way). The index ends
+  /// exactly as one add() per node would leave it: the same records and
+  /// the same size(). Throws std::logic_error, and then leaves the index
+  /// unchanged, when a node already holds the object, is listed twice, or
+  /// is not a node of the tree, or when `pop` is not a PoP. An empty set
+  /// changes nothing.
+  void add_group(std::uint32_t object, topology::PopId pop,
+                 std::span<const topology::TreeIndex> tree_nodes);
 
   /// Record that `node` no longer holds `object` (eviction). Throws
   /// std::logic_error when (object, node) is not tracked, and then leaves
@@ -145,6 +159,7 @@ private:
   std::size_t stride_;  ///< 1 + W: words per record
   std::unordered_map<std::uint32_t, std::vector<Word>> holders_;  ///< records
   std::size_t size_ = 0;  ///< (object, node) pairs across all records
+  std::vector<Word> group_mask_;  ///< add_group's set, built before any change
 
   // --- walk scratch (reused across queries; see class comment) ----------
   static constexpr std::uint32_t kOwnLane = 0xffffffffu;

@@ -19,12 +19,11 @@ struct SimulationMetrics {
   double total_latency = 0.0;
   std::uint64_t total_hops = 0;
 
-  // Congestion: object transfers per link ("the congestion on a link is
-  // measured as the number of object transfers traversing that link").
-  std::vector<std::uint64_t> link_transfers;
-  std::vector<double> link_bytes;  ///< size-weighted variant
+  // Congestion: object transfers on the busiest link ("the congestion on a
+  // link is measured as the number of object transfers traversing that
+  // link"). The per-link counts are simulator scratch, not returned.
   std::uint64_t max_link_transfers = 0;
-  double max_link_bytes = 0.0;
+  double max_link_bytes = 0.0;  ///< size-weighted variant
 
   // Origin load: requests served by each origin PoP from its origin store.
   std::vector<std::uint64_t> origin_served;

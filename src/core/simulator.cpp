@@ -247,27 +247,88 @@ void Simulator::prefill(const BoundWorkload& workload) {
     }
   }
 
-  std::vector<std::uint32_t> chosen;
-  for (GlobalNodeId n = 0; n < network_.node_count(); ++n) {
-    cache::Cache* cache = caches_[n].get();
-    if (cache == nullptr) continue;
-    const std::uint64_t capacity = cache->capacity_units();
-    if (capacity == static_cast<std::uint64_t>(-1)) continue;  // infinite: stay cold
-    const std::vector<std::uint32_t>& order =
-        workload.order_for_pop(network_.pop_of(n));
+  // Each cache takes the greedy prefix of its PoP's popularity order that
+  // fits its capacity. A non-root cache stores all of it, so caches that
+  // share the order and the capacity end identical: they form a group,
+  // whose first cache is filled by inserts and copied to the others. The
+  // prefix always fits, so no fill evicts or draws from a policy's RNG,
+  // and each copy holds exactly what its own inserts would have built. A
+  // PoP root fills alone, since it skips the objects its PoP originates.
+  struct Group {
+    const std::vector<std::uint32_t>* order;
+    std::uint64_t capacity;
+    const cache::Cache* source;  ///< the member filled by inserts
+    std::size_t prefix;          ///< its objects: (*order)[0, prefix)
+  };
+  std::vector<Group> groups;
+  // This PoP's group members as (group, tree index), for the holder index.
+  std::vector<std::pair<std::size_t, TreeIndex>> members;
+  std::vector<TreeIndex> group_nodes;
 
-    // Greedy prefix of the popularity order that fits.
-    chosen.clear();
+  const auto greedy_prefix = [&](const std::vector<std::uint32_t>& order,
+                                 std::uint64_t capacity) {
+    std::size_t prefix = 0;
     std::uint64_t used = 0;
-    for (const std::uint32_t object : order) {
-      if (used + size_of[object] > capacity) break;
-      used += size_of[object];
-      chosen.push_back(object);
+    for (; prefix < order.size() && used + size_of[order[prefix]] <= capacity; ++prefix) {
+      used += size_of[order[prefix]];
     }
-    cache->presize(chosen.size());
-    // Insert least-popular first so the most popular object is MRU.
-    for (std::size_t i = chosen.size(); i-- > 0;) {
-      store_on_path(chosen[i], size_of[chosen[i]], n, origins_.origin_pop(chosen[i]));
+    return prefix;
+  };
+
+  const TreeIndex tree_nodes = network_.tree().node_count();
+  for (PopId pop = 0; pop < network_.pop_count(); ++pop) {
+    const std::vector<std::uint32_t>& order = workload.order_for_pop(pop);
+    members.clear();
+    for (TreeIndex t = 0; t < tree_nodes; ++t) {
+      const GlobalNodeId n = network_.global_node(pop, t);
+      cache::Cache* cache = caches_[n].get();
+      if (cache == nullptr) continue;
+      const std::uint64_t capacity = cache->capacity_units();
+      if (capacity == static_cast<std::uint64_t>(-1)) continue;  // infinite: stays cold
+
+      if (t != 0) {
+        // Search from the back: this PoP's own group is usually the last.
+        const auto match =
+            std::find_if(groups.rbegin(), groups.rend(), [&](const Group& group) {
+              return group.order == &order && group.capacity == capacity;
+            });
+        if (match != groups.rend()) {
+          const auto g = static_cast<std::size_t>(groups.rend() - match) - 1;
+          cache->copy_from(*groups[g].source);
+          members.emplace_back(g, t);
+          continue;
+        }
+      }
+      const std::size_t prefix = greedy_prefix(order, capacity);
+      cache->presize(prefix);
+      // Insert least-popular first so the most popular object is MRU.
+      for (std::size_t i = prefix; i-- > 0;) {
+        const std::uint32_t object = order[i];
+        if (t == 0) {
+          store_on_path(object, size_of[object], n, origins_.origin_pop(object));
+        } else {
+          cache->insert(object, size_of[object], eviction_scratch_);
+        }
+      }
+      if (t != 0) {
+        groups.push_back(Group{&order, capacity, cache, prefix});
+        members.emplace_back(groups.size() - 1, t);
+      }
+    }
+    if (!holders_) continue;
+
+    // One holder record update per (object, group) of this PoP, instead of
+    // one add per (object, node).
+    std::sort(members.begin(), members.end());
+    for (std::size_t begin = 0, end = 0; begin < members.size(); begin = end) {
+      group_nodes.clear();
+      const std::size_t g = members[begin].first;
+      for (end = begin; end < members.size() && members[end].first == g; ++end) {
+        group_nodes.push_back(members[end].second);
+      }
+      for (std::size_t i = 0; i < groups[g].prefix; ++i) {
+        holders_->add_group((*groups[g].order)[i], pop, group_nodes);
+      }
     }
   }
 }
@@ -308,8 +369,8 @@ void Simulator::apply_cache_decision(const std::vector<GlobalNodeId>& response,
 SimulationMetrics Simulator::run(const BoundWorkload& workload) {
   metrics_ = SimulationMetrics{};
   metrics_.design_name = design_.name;
-  metrics_.link_transfers.assign(network_.link_count(), 0);
-  metrics_.link_bytes.assign(network_.link_count(), 0.0);
+  link_transfers_.assign(network_.link_count(), 0);
+  link_bytes_.assign(network_.link_count(), 0.0);
   metrics_.origin_served.assign(network_.pop_count(), 0);
   metrics_.served_per_level.assign(network_.tree().depth() + 1, 0);
   metrics_.pop_latency.assign(network_.pop_count(), 0.0);
@@ -387,8 +448,8 @@ SimulationMetrics Simulator::run(const BoundWorkload& workload) {
         for (std::size_t i = 0; i + 1 < response.size(); ++i) {
           const topology::GlobalLinkId link =
               network_.link_between(response[i], response[i + 1]);
-          ++metrics_.link_transfers[link];
-          metrics_.link_bytes[link] += static_cast<double>(request.size);
+          ++link_transfers_[link];
+          link_bytes_[link] += static_cast<double>(request.size);
         }
       }
       apply_cache_decision(response, request.object, request.size, origin_pop);
@@ -398,10 +459,10 @@ SimulationMetrics Simulator::run(const BoundWorkload& workload) {
   }
 
   if (holders_) metrics_.perf.merge(holders_->perf());
-  for (const std::uint64_t transfers : metrics_.link_transfers) {
+  for (const std::uint64_t transfers : link_transfers_) {
     metrics_.max_link_transfers = std::max(metrics_.max_link_transfers, transfers);
   }
-  for (const double bytes : metrics_.link_bytes) {
+  for (const double bytes : link_bytes_) {
     metrics_.max_link_bytes = std::max(metrics_.max_link_bytes, bytes);
   }
   for (const std::uint64_t served : metrics_.origin_served) {

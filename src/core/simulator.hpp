@@ -66,7 +66,8 @@ public:
   Simulator(const topology::HierarchicalNetwork& network, const OriginMap& origins,
             DesignSpec design, SimulationConfig config);
 
-  /// Replay the workload and return the metrics.
+  /// Replay the workload and return the metrics. Call it once per
+  /// Simulator: the warm start assumes empty caches.
   [[nodiscard]] SimulationMetrics run(const BoundWorkload& workload);
 
   /// True when this design equips `node` with a cache (regardless of
@@ -133,7 +134,8 @@ private:
                      topology::GlobalNodeId node, topology::PopId origin_pop);
 
   /// Fill every finite cache with the top objects of its PoP's popularity
-  /// order (most popular ends most-recently-used).
+  /// order (most popular ends most-recently-used): one cache per group of
+  /// identical caches by inserts, the rest by Cache::copy_from.
   void prefill(const BoundWorkload& workload);
 
   const topology::HierarchicalNetwork& network_;
@@ -151,6 +153,10 @@ private:
   /// The current request's core path (pop ids) during the shortest-path
   /// decision, then its response path (global node ids).
   std::vector<topology::GlobalNodeId> path_scratch_;
+  /// Measured object transfers and bytes per link; run() returns only
+  /// their maxima.
+  std::vector<std::uint64_t> link_transfers_;
+  std::vector<double> link_bytes_;
   std::mt19937_64 decision_rng_{0};  ///< probabilistic cache decision coins
   SimulationMetrics metrics_;
 };

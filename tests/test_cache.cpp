@@ -344,6 +344,97 @@ TEST(AdmissionFilter, InvalidConstructionThrows) {
                std::invalid_argument);
 }
 
+// --- copy_from ------------------------------------------------------------
+//
+// The warm start's contract: a cache that copies a source filled with a
+// fitting prefix behaves exactly like a cache that took the same inserts.
+// A (seed 1) and C (seed 2) take one prefix by inserts, and B (seed 2)
+// copies A. One seeded stream of lookups, evicting inserts and erases then
+// drives B and C, which must agree on every victim, every contains() and
+// the accounting after every op. RANDOM passes only because B keeps its
+// own generator: with A's (seed 1) it picks other victims.
+
+struct CopyCase {
+  PolicyKind kind;
+  bool doorkeeper;
+};
+
+std::unique_ptr<Cache> make_copy_case(const CopyCase& c, std::uint64_t capacity,
+                                      std::uint64_t seed) {
+  auto cache = make_cache(c.kind, capacity, seed);
+  if (!c.doorkeeper) return cache;
+  return std::make_unique<AdmissionFilteredCache>(std::move(cache), 64);
+}
+
+class CopyFrom : public ::testing::TestWithParam<CopyCase> {};
+
+TEST_P(CopyFrom, CopyDrivesLikeTheInsertPath) {
+  constexpr std::uint64_t kCapacity = 40;
+  constexpr ObjectId kUniverse = 120;
+  std::mt19937_64 rng(0xc0b1);
+  std::vector<std::uint64_t> size_of(kUniverse);
+  for (std::uint64_t& size : size_of) size = 1 + rng() % 4;
+
+  const auto fill = [&](Cache& cache, ObjectId first) {
+    std::uint64_t used = 0;
+    for (ObjectId o = first; used + size_of[o] <= kCapacity; ++o) {
+      used += size_of[o];
+      ASSERT_TRUE(insert(cache, o, size_of[o]).empty()) << "the prefix must fit";
+    }
+  };
+  auto a = make_copy_case(GetParam(), kCapacity, 1);
+  auto c = make_copy_case(GetParam(), kCapacity, 2);
+  fill(*a, 0);
+  fill(*c, 0);
+  auto b = make_copy_case(GetParam(), kCapacity, 2);
+  b->copy_from(*a);
+
+  // Every other policy, bare or behind a doorkeeper, is a mismatch: the
+  // call throws and B keeps A's state, which the op stream then checks.
+  for (const PolicyKind kind : {PolicyKind::Lru, PolicyKind::Lfu, PolicyKind::Fifo,
+                                PolicyKind::Random, PolicyKind::Infinite}) {
+    for (const bool doorkeeper : {false, true}) {
+      if (kind == GetParam().kind && doorkeeper == GetParam().doorkeeper) continue;
+      auto other = make_copy_case(CopyCase{kind, doorkeeper}, kCapacity, 3);
+      fill(*other, 60);
+      EXPECT_THROW(b->copy_from(*other), std::invalid_argument)
+          << to_string(kind) << (doorkeeper ? " with doorkeeper" : "");
+    }
+  }
+
+  for (int op = 0; op < 5'000; ++op) {
+    const auto object = static_cast<ObjectId>(rng() % kUniverse);
+    const auto dice = static_cast<unsigned>(rng() % 100);
+    std::vector<ObjectId> evicted, expected;
+    if (dice < 10) {
+      b->erase(object);
+      c->erase(object);
+    } else if (dice < 45) {
+      ASSERT_EQ(b->lookup(object), c->lookup(object)) << "op " << op;
+    } else {
+      b->insert(object, size_of[object], evicted);
+      c->insert(object, size_of[object], expected);
+    }
+    ASSERT_EQ(evicted, expected) << "op " << op;
+    ASSERT_EQ(b->object_count(), c->object_count()) << "op " << op;
+    ASSERT_EQ(b->used_units(), c->used_units()) << "op " << op;
+    for (ObjectId o = 0; o < kUniverse; ++o) {
+      ASSERT_EQ(b->contains(o), c->contains(o)) << "op " << op << ", object " << o;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, CopyFrom,
+    ::testing::Values(CopyCase{PolicyKind::Lru, false}, CopyCase{PolicyKind::Lfu, false},
+                      CopyCase{PolicyKind::Fifo, false},
+                      CopyCase{PolicyKind::Random, false},
+                      CopyCase{PolicyKind::Infinite, false},
+                      CopyCase{PolicyKind::Lru, true}),
+    [](const auto& info) {
+      return to_string(info.param.kind) + (info.param.doorkeeper ? "_Doorkeeper" : "");
+    });
+
 // --- budget provisioning ---------------------------------------------------
 
 TEST(Budget, UniformGivesEveryRouterTheSame) {

@@ -2,7 +2,9 @@
 // cross-checked against a brute-force oracle over random configurations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,8 +50,8 @@ TEST(HolderIndex, RemoveUnknownThrows) {
   EXPECT_THROW(index.remove(1, net.leaf(4, 0)), std::logic_error);  // other PoP
 }
 
-// Every rejected add/remove must leave the index exactly as it was: the
-// duplicate and absence checks run before any bucket is touched.
+// Every rejected add/add_group/remove must leave the index exactly as it
+// was: the duplicate and absence checks run before any bucket is touched.
 TEST(HolderIndex, RejectedCallsLeaveIndexUnchanged) {
   const auto net = test_network();
   HolderIndex index(net);
@@ -83,6 +85,19 @@ TEST(HolderIndex, RejectedCallsLeaveIndexUnchanged) {
   EXPECT_THROW(index.remove(11, net.leaf(5, 0)), std::logic_error);  // PoP holds none
   EXPECT_THROW(index.remove(11, net.leaf(0, 2)), std::logic_error);  // PoP holds others
   EXPECT_THROW(index.remove(12, net.leaf(0, 0)), std::logic_error);  // held, other object
+  // Group calls: one node of the set already holds the object, a node is
+  // listed twice (with and without an existing record), a node is not in
+  // the tree, the PoP does not exist.
+  const auto t = [&](GlobalNodeId node) { return net.tree_index_of(node); };
+  const topology::TreeIndex overlaps[] = {t(net.leaf(0, 1)), t(net.leaf(0, 0))};
+  EXPECT_THROW(index.add_group(11, 0, overlaps), std::logic_error);
+  const topology::TreeIndex twice[] = {t(net.leaf(5, 2)), t(net.leaf(5, 2))};
+  EXPECT_THROW(index.add_group(11, 5, twice), std::logic_error);
+  EXPECT_THROW(index.add_group(13, 5, twice), std::logic_error);
+  const topology::TreeIndex outside[] = {1, net.tree().node_count()};
+  EXPECT_THROW(index.add_group(11, 5, outside), std::logic_error);
+  const topology::TreeIndex root[] = {0};
+  EXPECT_THROW(index.add_group(11, net.pop_count(), root), std::logic_error);
 
   EXPECT_EQ(index.size(), 5u);
   EXPECT_EQ(snapshot(), before);
@@ -91,6 +106,10 @@ TEST(HolderIndex, RejectedCallsLeaveIndexUnchanged) {
   EXPECT_FALSE(index.holds(13, net.leaf(0, 0)));
   EXPECT_FALSE(index.holds(11, net.leaf(0, 2)));
   EXPECT_FALSE(index.holds(11, net.leaf(5, 0)));
+  EXPECT_FALSE(index.holds(11, net.leaf(0, 1)));
+  EXPECT_FALSE(index.holds(11, net.leaf(5, 2)));
+  EXPECT_FALSE(index.holds(13, net.leaf(5, 2)));
+  EXPECT_FALSE(index.holds(11, net.global_node(5, 1)));
   EXPECT_FALSE(index.holds(0xffffffffu, net.leaf(0, 0)));  // id never added
 }
 
@@ -188,5 +207,116 @@ TEST(HolderIndex, RemoveLastHolderOfLastPopErasesObject) {
   index.add(8, net.leaf(2, 3));
   EXPECT_TRUE(index.holds(8, net.leaf(2, 3)));
 }
+
+// --- add_group vs per-node add ---------------------------------------------
+//
+// One index takes random sets of a PoP's tree nodes through add_group, the
+// other takes the same pairs one add() at a time; removals interleave. The
+// two must answer holds, size, nearest and walk identically throughout.
+// The Géant and Abilene cases have 127 and 255 tree nodes, so the sets span
+// two and four mask words.
+
+struct GroupCase {
+  std::string name;
+  unsigned arity;
+  unsigned depth;
+};
+
+class HolderIndexGroup : public ::testing::TestWithParam<GroupCase> {};
+
+TEST_P(HolderIndexGroup, MatchesPerNodeAdds) {
+  const GroupCase& gc = GetParam();
+  const topology::HierarchicalNetwork net(topology::make_topology(gc.name),
+                                          topology::AccessTreeShape(gc.arity, gc.depth));
+  const topology::TreeIndex tree_nodes = net.tree().node_count();
+  std::mt19937_64 rng(0x9009 ^ (gc.arity * 31 + gc.depth));
+  HolderIndex grouped(net);
+  HolderIndex per_node(net);
+  std::vector<std::pair<std::uint32_t, GlobalNodeId>> live;
+  constexpr std::uint32_t kObjects = 24;
+
+  const auto expect_same_answers = [&](int op) {
+    ASSERT_EQ(grouped.size(), per_node.size()) << "op " << op;
+    for (int q = 0; q < 4; ++q) {
+      const auto object = static_cast<std::uint32_t>(rng() % kObjects);
+      const GlobalNodeId leaf =
+          net.leaf(static_cast<topology::PopId>(rng() % net.pop_count()),
+                   static_cast<std::uint32_t>(rng() % net.tree().leaf_count()));
+      const GlobalNodeId node = static_cast<GlobalNodeId>(rng() % net.node_count());
+      ASSERT_EQ(grouped.holds(object, node), per_node.holds(object, node)) << "op " << op;
+      const auto a = grouped.nearest(object, leaf);
+      const auto b = per_node.nearest(object, leaf);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
+      if (a) {
+        ASSERT_EQ(a->node, b->node) << "op " << op;
+        ASSERT_EQ(a->cost, b->cost) << "op " << op;
+      }
+      const auto all = per_node.candidates_by_cost(object, leaf);
+      const double bound = all.empty() ? HolderIndex::kUnbounded
+                                       : all[rng() % all.size()].cost;
+      const auto walk_all = [&](const HolderIndex& index) {
+        std::vector<std::pair<GlobalNodeId, double>> out;
+        auto walk = index.walk(object, leaf, bound);
+        while (const auto c = walk.next()) out.emplace_back(c->node, c->cost);
+        return out;
+      };
+      ASSERT_EQ(walk_all(grouped), walk_all(per_node)) << "op " << op;
+    }
+  };
+
+  std::vector<topology::TreeIndex> nodes;
+  for (int op = 0; op < 600; ++op) {
+    if (live.empty() || rng() % 4 != 0) {
+      // A random set of the PoP's nodes that do not hold the object yet,
+      // in random order, sometimes empty.
+      const auto object = static_cast<std::uint32_t>(rng() % kObjects);
+      const auto pop = static_cast<topology::PopId>(rng() % net.pop_count());
+      const std::uint64_t percent = rng() % 100;
+      nodes.clear();
+      for (topology::TreeIndex t = 0; t < tree_nodes; ++t) {
+        if (rng() % 100 < percent && !per_node.holds(object, net.global_node(pop, t))) {
+          nodes.push_back(t);
+        }
+      }
+      std::shuffle(nodes.begin(), nodes.end(), rng);
+      grouped.add_group(object, pop, nodes);
+      for (const topology::TreeIndex t : nodes) {
+        per_node.add(object, net.global_node(pop, t));
+        live.emplace_back(object, net.global_node(pop, t));
+      }
+    } else {
+      for (int r = 0; r < 8 && !live.empty(); ++r) {
+        const std::size_t pick = rng() % live.size();
+        grouped.remove(live[pick].first, live[pick].second);
+        per_node.remove(live[pick].first, live[pick].second);
+        live[pick] = live.back();
+        live.pop_back();
+      }
+    }
+    expect_same_answers(op);
+  }
+  for (std::uint32_t object = 0; object < kObjects; ++object) {
+    for (GlobalNodeId n = 0; n < net.node_count(); ++n) {
+      ASSERT_EQ(grouped.holds(object, n), per_node.holds(object, n))
+          << "object " << object << " node " << n;
+    }
+  }
+  // Removing every pair empties both: no stale record survives in either.
+  for (const auto& [object, node] : live) {
+    grouped.remove(object, node);
+    per_node.remove(object, node);
+  }
+  EXPECT_EQ(grouped.size(), 0u);
+  EXPECT_EQ(per_node.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Trees, HolderIndexGroup,
+    ::testing::Values(GroupCase{"Abilene", 2, 3}, GroupCase{"Geant", 4, 1},
+                      GroupCase{"Geant", 2, 6}, GroupCase{"Abilene", 2, 7}),
+    [](const ::testing::TestParamInfo<GroupCase>& info) {
+      return info.param.name + "_k" + std::to_string(info.param.arity) + "_d" +
+             std::to_string(info.param.depth);
+    });
 
 }  // namespace

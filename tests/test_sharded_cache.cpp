@@ -117,6 +117,15 @@ TEST(ShardedCache, ZeroShardsClampsToOne) {
   EXPECT_TRUE(sharded.contains(1));
 }
 
+TEST(ShardedCache, CopyFromIsRejected) {
+  ShardedCache source(PolicyKind::Lru, 8, 2);
+  ShardedCache copy(PolicyKind::Lru, 8, 2);
+  std::vector<ObjectId> evicted;
+  source.insert(1, 1, evicted);
+  EXPECT_THROW(copy.copy_from(source), std::logic_error);
+  EXPECT_EQ(copy.object_count(), 0u);
+}
+
 TEST(ShardedCache, ObjectLargerThanItsShardSliceIsRefused) {
   constexpr std::uint64_t kCapacity = 10;
   constexpr std::size_t kShards = 4;  // slices: 3, 3, 2, 2
