@@ -5,7 +5,7 @@
 // the ServerGroup write flush. tools/analysis/idicn_analysis.py treats
 // every annotated definition as a root and proves nothing reachable from
 // it allocates (rule `hot-path-alloc`), modulo the shrinking baseline in
-// tools/analysis/baselines/ — the ratchet toward ROADMAP item 2's
+// tools/analysis/baselines/ — the ratchet toward ROADMAP item 1's
 // zero-allocation hot path. The runtime complement is
 // tests/test_hot_path_allocs.cpp, which counts real operator-new calls
 // per request on the same chain.

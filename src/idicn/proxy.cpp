@@ -138,12 +138,14 @@ Proxy::Proxy(net::Transport* net, net::Address self, net::Address nrs,
   }
 }
 
-Proxy::CacheShard& Proxy::shard_for(const std::string& host) {
-  return *shards_[std::hash<std::string>{}(host) % shards_.size()];
+// std::hash<std::string_view> equals std::hash<std::string> on the same
+// characters, so a borrowed host picks the shard its stored key lives in.
+Proxy::CacheShard& Proxy::shard_for(std::string_view host) {
+  return *shards_[std::hash<std::string_view>{}(host) % shards_.size()];
 }
 
-const Proxy::CacheShard& Proxy::shard_for(const std::string& host) const {
-  return *shards_[std::hash<std::string>{}(host) % shards_.size()];
+const Proxy::CacheShard& Proxy::shard_for(std::string_view host) const {
+  return *shards_[std::hash<std::string_view>{}(host) % shards_.size()];
 }
 
 core::PerfCounters Proxy::perf() const {
@@ -179,11 +181,9 @@ bool Proxy::is_cached(const std::string& host) const {
   return shard.entries.find(host) != shard.entries.end();
 }
 
-void Proxy::touch(CacheShard& shard, const std::string& host) {
-  const auto it = shard.entries.find(host);
-  shard.lru.erase(it->second.lru_position);
-  shard.lru.push_front(host);
-  it->second.lru_position = shard.lru.begin();
+void Proxy::touch(CacheShard& shard, Entry& entry) {
+  // Relinks the node: no allocation, and lru_position stays valid.
+  shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_position);
 }
 
 void Proxy::evict_until_fits(CacheShard& shard, std::uint64_t incoming) {
@@ -207,6 +207,7 @@ bool Proxy::cache_store(CacheShard& shard, const std::string& host,
     shard.lru.erase(existing->second.lru_position);
     shard.entries.erase(existing);
   }
+  entry.hit_headers = std::move(entry_response(entry, true, false).headers);
   evict_until_fits(shard, entry.body.size());
   shard.used_bytes += entry.body.size();
   shard.lru.push_front(host);
@@ -215,12 +216,8 @@ bool Proxy::cache_store(CacheShard& shard, const std::string& host,
   return true;
 }
 
-IDICN_HOT_PATH net::HttpResponse Proxy::serve_entry(CacheShard& shard,
-                                                    const std::string& host,
-                                                    Entry& entry, bool hit,
-                                                    bool full_metadata) {
-  stats_.bytes_served += entry.body.size();
-  shard.perf.bump(&core::PerfCounters::proxy_bytes_served, entry.body.size());
+net::HttpResponse Proxy::entry_response(const Entry& entry, bool hit,
+                                        bool full_metadata) const {
   // References the entry's chunks — no body copy per response; N
   // concurrent readers of one cached object share one copy of the bytes.
   net::HttpResponse response =
@@ -233,7 +230,22 @@ IDICN_HOT_PATH net::HttpResponse Proxy::serve_entry(CacheShard& shard,
   if (!entry.etag.empty()) response.headers.set("ETag", entry.etag);
   response.headers.set("X-Cache", hit ? "HIT" : "MISS");
   response.headers.set("Via", self_);
-  if (hit) touch(shard, host);
+  return response;
+}
+
+IDICN_HOT_PATH net::HttpResponse Proxy::serve_entry(CacheShard& shard,
+                                                    Entry& entry, bool hit,
+                                                    bool full_metadata) {
+  stats_.bytes_served += entry.body.size();
+  shard.perf.bump(&core::PerfCounters::proxy_bytes_served, entry.body.size());
+  if (!hit) return entry_response(entry, false, full_metadata);
+  touch(shard, entry);
+  if (full_metadata) return entry_response(entry, true, true);
+  // A HIT only ever serves an admitted entry, whose fields cache_store
+  // built: one exact-size copy, no per-field scans or re-encoding.
+  net::HttpResponse response;
+  response.headers = entry.hit_headers;
+  response.stream_body = entry.body;
   return response;
 }
 
@@ -247,10 +259,10 @@ net::HttpResponse Proxy::store_and_serve(CacheShard& shard,
   const core::sync::MutexLock lock(shard.mutex);
   net::HttpResponse response =
       cache_store(shard, host, entry)
-          ? serve_entry(shard, host, shard.entries.find(host)->second, false,
+          ? serve_entry(shard, shard.entries.find(host)->second, false,
                         full_metadata)
           // Larger than the shard's slice: serve the fetched copy uncached.
-          : serve_entry(shard, host, entry, false, full_metadata);
+          : serve_entry(shard, entry, false, full_metadata);
   if (!source.empty()) response.headers.set(kSourceHeader, source);
   return response;
 }
@@ -336,7 +348,7 @@ std::optional<net::HttpResponse> Proxy::serve_stale(CacheShard& shard,
   if (cached == shard.entries.end()) return std::nullopt;  // evicted meanwhile
   ++stats_.stale_served;
   net::HttpResponse response =
-      serve_entry(shard, host, cached->second, true, full_metadata);
+      serve_entry(shard, cached->second, true, full_metadata);
   // RFC 7234 §5.5.1 stale warning plus an explicit idICN marker so clients
   // (and the chaos harness) can tell degraded service from a fresh hit.
   response.headers.set("Warning", "110 - \"Response is Stale\"");
@@ -382,9 +394,10 @@ public:
       settle(net::make_response(400, "proxy supports GET only"));
       return;
     }
-    const auto uri = net::parse_uri(request_.target);
-    if (uri && !uri->host.empty()) {
-      host_ = uri->host;  // absolute-form proxy request
+    if (const auto authority = net::absolute_form_host(request_.target)) {
+      host_.resize(authority->size());  // absolute-form proxy request
+      std::transform(authority->begin(), authority->end(), host_.begin(),
+                     net::ascii_lower);
     } else if (const auto host_header = request_.headers.get("Host")) {
       host_ = *host_header;  // transparent / origin-form fallback
     } else {
@@ -476,7 +489,7 @@ private:
                            proxy_->options_.freshness_ms;
         if (fresh) {
           ++proxy_->stats_.hits;
-          immediate = proxy_->serve_entry(shard, host_, cached->second, true,
+          immediate = proxy_->serve_entry(shard, cached->second, true,
                                           full_metadata_);
         } else {
           ++proxy_->stats_.expired;
@@ -542,7 +555,7 @@ private:
         if (renewed != shard.entries.end()) {
           renewed->second.stored_at_ms = proxy_->net_->now_ms();  // fresh again
           ++proxy_->stats_.hits;
-          renewed_response = proxy_->serve_entry(shard, host_, renewed->second,
+          renewed_response = proxy_->serve_entry(shard, renewed->second,
                                                  true, full_metadata_);
         }
       }
@@ -1102,33 +1115,33 @@ net::HttpResponse Proxy::handle_http(const net::HttpRequest& request,
 std::optional<net::HttpResponse> Proxy::serve_if_fresh_hit(
     const net::HttpRequest& request) {
   if (request.method != "GET") return std::nullopt;
-  std::string host;
-  const auto uri = net::parse_uri(request.target);
-  if (uri && !uri->host.empty()) {
-    host = uri->host;
-  } else if (const auto host_header = request.headers.get("Host")) {
-    host = *host_header;
-  } else {
-    return std::nullopt;  // 400 — the machine words the error
-  }
-  const auto name = SelfCertifyingName::parse_host(host);
-  if (!name) return std::nullopt;  // legacy forward
-  host = name->host();
+  auto host = net::absolute_form_host(request.target);
+  if (!host) host = request.headers.get_view("Host");
+  if (!host) return std::nullopt;  // 400 — the machine words the error
+  // Store keys are canonical SelfCertifyingName::host()s — lowercase
+  // ASCII, at most 126 characters — and parse_host accepts a host exactly
+  // when its lowercase form is one. So a longer host is never cached, and
+  // a host whose lowercase form is not a key falls through to FetchOp,
+  // which parses it exactly as before.
+  char lowered[128];
+  if (host->size() > sizeof(lowered)) return std::nullopt;
+  std::transform(host->begin(), host->end(), lowered, net::ascii_lower);
+  const std::string_view key(lowered, host->size());
   const bool peer_query = request.headers.contains(kIcpQueryHeader);
   const bool full_metadata =
       peer_query || request.headers.contains(kWantMetadataHeader);
 
-  CacheShard& shard = shard_for(host);
+  CacheShard& shard = shard_for(key);
   std::optional<net::HttpResponse> response;
   {
     const core::sync::MutexLock lock(shard.mutex);
-    const auto cached = shard.entries.find(host);
+    const auto cached = shard.entries.find(key);
     if (cached == shard.entries.end()) return std::nullopt;
     const bool fresh =
         net_->now_ms() - cached->second.stored_at_ms <= options_.freshness_ms;
     if (!fresh) return std::nullopt;  // stale: revalidation is upstream I/O
     ++stats_.hits;
-    response = serve_entry(shard, host, cached->second, true, full_metadata);
+    response = serve_entry(shard, cached->second, true, full_metadata);
   }
   // Mirrors FetchOp::settle: Range rewrite on the idICN path (cooperative
   // queries never carry one), then PoP attribution.

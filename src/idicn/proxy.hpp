@@ -47,11 +47,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/buffer.hpp"
@@ -253,14 +255,21 @@ private:
     net::Address fetched_from; ///< where a revalidation should go
     std::uint64_t stored_at_ms = 0;
     std::list<std::string>::iterator lru_position;
+    /// The header fields of a plain-client HIT (no proof), built once at
+    /// admission by the same code that heads every other response: a HIT
+    /// copies them instead of re-encoding metadata and re-scanning fields.
+    net::HeaderMap hit_headers;
   };
 
   /// One lock stripe of the content store: a private host→entry map, LRU
   /// list, and byte budget. All serving state is guarded by `mutex`; the
-  /// capacity slice is immutable after construction.
+  /// capacity slice is immutable after construction. Every key is a
+  /// canonical SelfCertifyingName::host() (FetchOp admits nothing else), so
+  /// a key found by a request's lowercased host proves that host a valid
+  /// name; the transparent comparator looks it up without a copy.
   struct CacheShard {
     mutable core::sync::Mutex mutex;
-    std::map<std::string, Entry> entries IDICN_GUARDED_BY(mutex);
+    std::map<std::string, Entry, std::less<>> entries IDICN_GUARDED_BY(mutex);
     std::list<std::string> lru IDICN_GUARDED_BY(mutex);  ///< front = most recent
     /// Objects currently being fetched through this shard: later requests
     /// for the same host join the in-flight stream instead of fetching
@@ -272,8 +281,8 @@ private:
     std::uint64_t capacity_bytes = 0;  ///< this shard's slice; construction-time
   };
 
-  [[nodiscard]] CacheShard& shard_for(const std::string& host);
-  [[nodiscard]] const CacheShard& shard_for(const std::string& host) const;
+  [[nodiscard]] CacheShard& shard_for(std::string_view host);
+  [[nodiscard]] const CacheShard& shard_for(std::string_view host) const;
 
   /// Ingest a sibling's content digest (POST /idicn-hint).
   net::HttpResponse serve_hint(const net::HttpRequest& request);
@@ -294,14 +303,22 @@ private:
                                     Entry entry, bool full_metadata)
       IDICN_EXCLUDES(shard.mutex);
 
-  net::HttpResponse serve_entry(CacheShard& shard, const std::string& host,
-                                Entry& entry, bool hit, bool full_metadata)
+  /// Serve `entry` (a HIT also refreshes its LRU position). A plain-client
+  /// HIT copies the entry's prebuilt hit_headers; every other response is
+  /// built by entry_response.
+  net::HttpResponse serve_entry(CacheShard& shard, Entry& entry, bool hit,
+                                bool full_metadata)
       IDICN_REQUIRES(shard.mutex);
+  /// The 200 for `entry`: body chunks, metadata (with the proof only when
+  /// `full_metadata`), ETag, X-Cache and Via.
+  [[nodiscard]] net::HttpResponse entry_response(const Entry& entry, bool hit,
+                                                 bool full_metadata) const;
   /// Allocation-light step-7 fast path shared by both entry points: a GET
-  /// for a valid idICN name with a fresh cached copy is served without
-  /// constructing the FetchOp machine (the hot-path-alloc ratchet counts
-  /// every heap allocation on the hit chain). nullopt falls through to the
-  /// full machine — misses, stale entries, transit joins, hints, legacy.
+  /// whose host, ASCII-lowercased as is, keys a fresh cached copy is served
+  /// with one keyed lookup — no URI, no name parse, no FetchOp machine (the
+  /// hot-path-alloc ratchet counts every heap allocation on the hit chain).
+  /// nullopt falls through to the full machine, which parses — misses,
+  /// stale entries, transit joins, hints, legacy and malformed hosts.
   std::optional<net::HttpResponse> serve_if_fresh_hit(
       const net::HttpRequest& request);
   /// Join a request to an in-flight fetch: a producer-backed response that
@@ -313,8 +330,7 @@ private:
   /// exceeds the shard's capacity slice (entry untouched).
   bool cache_store(CacheShard& shard, const std::string& host, Entry& entry)
       IDICN_REQUIRES(shard.mutex);
-  void touch(CacheShard& shard, const std::string& host)
-      IDICN_REQUIRES(shard.mutex);
+  void touch(CacheShard& shard, Entry& entry) IDICN_REQUIRES(shard.mutex);
   void evict_until_fits(CacheShard& shard, std::uint64_t incoming)
       IDICN_REQUIRES(shard.mutex);
 

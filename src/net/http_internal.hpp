@@ -45,6 +45,18 @@ inline std::string_view trim_ows(std::string_view text) {
   return text;
 }
 
+/// True when the comma-separated list `value` names `token`, compared
+/// case-insensitively: Connection options are such a list (RFC 9110
+/// §7.6.1), so "CLOSE" and "keep-alive, close" both ask to close.
+inline bool token_list_contains(std::string_view value, std::string_view token) {
+  while (true) {
+    const std::size_t comma = value.find(',');
+    if (iequals(trim_ows(value.substr(0, comma)), token)) return true;
+    if (comma == std::string_view::npos) return false;
+    value.remove_prefix(comma + 1);
+  }
+}
+
 inline void fail(ParseError* error, std::string message) {
   if (error != nullptr) error->message = std::move(message);
 }

@@ -38,4 +38,16 @@ struct Uri {
 /// input (empty host in absolute form, bad port, embedded whitespace…).
 [[nodiscard]] std::optional<Uri> parse_uri(std::string_view text);
 
+/// The host of an absolute-form target, borrowed as written: parse_uri's
+/// `host` before lowercasing. nullopt exactly when parse_uri would fail or
+/// find no host (origin form). Nothing is copied or allocated.
+[[nodiscard]] std::optional<std::string_view> absolute_form_host(
+    std::string_view target);
+
+/// ASCII lowercase, as the "C" locale's tolower (the program never calls
+/// setlocale): hosts and URI schemes are case-insensitive ASCII.
+[[nodiscard]] constexpr char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 }  // namespace idicn::net

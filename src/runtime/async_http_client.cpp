@@ -282,8 +282,8 @@ void AsyncHttpClient::complete_front(net::HttpResponse head)
   }
 
   bool will_close = false;
-  if (const auto connection = head.headers.get("Connection");
-      connection && net::detail::iequals(*connection, "close")) {
+  if (const auto connection = head.headers.get_view("Connection");
+      connection && net::detail::token_list_contains(*connection, "close")) {
     will_close = true;
   }
   // Settle the connection before the completion runs: it may re-enter

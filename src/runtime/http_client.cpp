@@ -114,8 +114,8 @@ std::optional<net::HttpResponse> HttpClient::request(const net::HttpRequest& req
     close();
     return std::nullopt;
   }
-  if (const auto connection = response->headers.get("Connection");
-      connection && net::detail::iequals(*connection, "close")) {
+  if (const auto connection = response->headers.get_view("Connection");
+      connection && net::detail::token_list_contains(*connection, "close")) {
     close();
   }
   return response;
@@ -163,8 +163,8 @@ std::optional<net::HttpResponse> HttpClient::request_streaming(
     close();
     return std::nullopt;
   }
-  if (const auto connection = head->headers.get("Connection");
-      connection && net::detail::iequals(*connection, "close")) {
+  if (const auto connection = head->headers.get_view("Connection");
+      connection && net::detail::token_list_contains(*connection, "close")) {
     close();
   }
   return head;

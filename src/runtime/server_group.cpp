@@ -233,9 +233,18 @@ class ServerWorker {
     return thread_.get_id();
   }
 
-  [[nodiscard]] ServerGroup::Stats stats() const IDICN_EXCLUDES(stats_mutex_) {
-    const core::sync::MutexLock lock(stats_mutex_);
-    return stats_;
+  /// Lock-free snapshot, safe from any thread while the loop serves.
+  [[nodiscard]] ServerGroup::Stats stats() const {
+    ServerGroup::Stats out;
+    out.connections_accepted = counters_.connections_accepted;
+    out.connections_closed = counters_.connections_closed;
+    out.connections_rejected = counters_.connections_rejected;
+    out.requests_served = counters_.requests_served;
+    out.bytes_in = counters_.bytes_in;
+    out.bytes_out = counters_.bytes_out;
+    out.decode_errors = counters_.decode_errors;
+    out.timeouts = counters_.timeouts;
+    return out;
   }
 
  private:
@@ -334,8 +343,7 @@ class ServerWorker {
                             std::to_string(options_.retry_after_s));
       const std::string reply = rejection.serialize_head() + rejection.body;
       (void)!::send(fd.get(), reply.data(), reply.size(), MSG_NOSIGNAL);
-      const core::sync::MutexLock lock(stats_mutex_);
-      ++stats_.connections_rejected;
+      ++counters_.connections_rejected;
       return;  // ScopedFd closes
     }
     set_nonblocking(fd.get());
@@ -354,8 +362,7 @@ class ServerWorker {
                  });
     connections_.emplace(raw, std::move(conn));
     ++active_;
-    const core::sync::MutexLock lock(stats_mutex_);
-    ++stats_.connections_accepted;
+    ++counters_.connections_accepted;
   }
 
   void arm_timer(Connection& conn) IDICN_REQUIRES(loop_role_) {
@@ -397,10 +404,7 @@ class ServerWorker {
         !parked && now - conn.last_activity_ms >= options_.idle_timeout_ms;
 
     if (request_expired || idle_expired) {
-      {
-        const core::sync::MutexLock lock(stats_mutex_);
-        ++stats_.timeouts;
-      }
+      ++counters_.timeouts;
       if (request_expired) {
         // Pre-resolved slot: the 408 queues behind any earlier parked
         // responses instead of jumping the pipeline.
@@ -433,10 +437,7 @@ class ServerWorker {
     loop_->unwatch(fd);
     connections_.erase(it);  // ScopedFd closes
     --active_;
-    {
-      const core::sync::MutexLock lock(stats_mutex_);
-      ++stats_.connections_closed;
-    }
+    ++counters_.connections_closed;
     group_->notify_connection_closed();  // a drain wait may be pending
   }
 
@@ -450,7 +451,9 @@ class ServerWorker {
     while (auto request = conn.decoder.next_request()) {
       const bool peer_wants_close = [&] {
         const auto connection = request->headers.get_view("Connection");
-        if (connection) return *connection == "close" || *connection == "Close";
+        if (connection) {
+          return net::detail::token_list_contains(*connection, "close");
+        }
         return request->version == "HTTP/1.0";
       }();
       conn.slots.push_back({});
@@ -497,10 +500,7 @@ class ServerWorker {
     if (draining_) conn.closing = true;
 
     if (conn.decoder.failed()) {
-      {
-        const core::sync::MutexLock lock(stats_mutex_);
-        ++stats_.decode_errors;
-      }
+      ++counters_.decode_errors;
       // Pre-resolved slot so the error response queues behind any parked
       // requests instead of jumping the pipeline.
       conn.slots.push_back({});
@@ -550,10 +550,9 @@ class ServerWorker {
         conn.closing = true;
       }
       enqueue_response(conn, std::move(slot.response));
-      if (slot.count_served) {
-        const core::sync::MutexLock lock(stats_mutex_);
-        ++stats_.requests_served;
-      }
+      // Counted before the flush that sends the response: a client that
+      // sees its answer also sees it served.
+      if (slot.count_served) ++counters_.requests_served;
     }
   }
 
@@ -706,11 +705,7 @@ class ServerWorker {
         }
       }
     }
-    if (sent_total > 0) {
-      // One stats fold per flush, not one lock round trip per syscall.
-      const core::sync::MutexLock lock(stats_mutex_);
-      stats_.bytes_out += sent_total;
-    }
+    if (sent_total > 0) counters_.bytes_out += sent_total;
     if (dead) {
       close_connection(fd);
       return;
@@ -768,11 +763,12 @@ class ServerWorker {
         const std::uint64_t now = loop_->now_ms();
         if (!conn.decoder.mid_message()) conn.message_start_ms = now;
         conn.last_activity_ms = now;
-        {
-          const core::sync::MutexLock lock(stats_mutex_);
-          stats_.bytes_in += static_cast<std::uint64_t>(n);
-        }
+        counters_.bytes_in += static_cast<std::uint64_t>(n);
         conn.decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+        // A short read drained the socket: skip the recv that would only
+        // say EAGAIN. The poller is level-triggered, so bytes that arrive
+        // meanwhile (or a pending FIN) report the fd readable again.
+        if (static_cast<std::size_t>(n) < sizeof(buffer)) break;
       }
       serve_decoded(conn);
     }
@@ -802,8 +798,20 @@ class ServerWorker {
   /// Live connection gauge sampled by the group's drain wait.
   core::sync::RelaxedCounter active_;
 
-  mutable core::sync::Mutex stats_mutex_;
-  ServerGroup::Stats stats_ IDICN_GUARDED_BY(stats_mutex_);
+  /// ServerGroup::Stats as relaxed counters: only this worker's loop
+  /// thread bumps them, and stats() reads them from any thread without a
+  /// lock — no lock round trip per recv, served request or flush.
+  struct Counters {
+    core::sync::RelaxedCounter connections_accepted;
+    core::sync::RelaxedCounter connections_closed;
+    core::sync::RelaxedCounter connections_rejected;
+    core::sync::RelaxedCounter requests_served;
+    core::sync::RelaxedCounter bytes_in;
+    core::sync::RelaxedCounter bytes_out;
+    core::sync::RelaxedCounter decode_errors;
+    core::sync::RelaxedCounter timeouts;
+  };
+  Counters counters_;
 };
 
 ServerGroup::ServerGroup(net::SimHost* host, std::string address)

@@ -15,7 +15,8 @@
 // hosted net::SimHost is now *shared by all workers* — its handle_http must
 // be thread-safe when `workers > 1` (Proxy/NRS/OriginServer/ReverseProxy
 // are; see their headers). Other threads interact through four doors:
-//   * stats() / worker_stats(i)    — mutex-guarded snapshots, safe live;
+//   * stats() / worker_stats(i)    — snapshots of per-worker relaxed
+//     counters, safe live;
 //   * run_on_all_workers(fn)       — stop-the-world door replacing
 //     HostServer::run_on_loop(): every worker parks at a rendezvous, `fn`
 //     runs with exclusive access to the hosted SimHost, then all workers

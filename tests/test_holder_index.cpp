@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <random>
 #include <string>
 #include <utility>
@@ -221,6 +222,12 @@ struct GroupCase {
   unsigned arity;
   unsigned depth;
 };
+
+// Without this, gtest prints the case as raw bytes, which include the
+// std::string's heap pointer, so the listed test names change per run.
+void PrintTo(const GroupCase& gc, std::ostream* os) {
+  *os << gc.name << " k=" << gc.arity << " d=" << gc.depth;
+}
 
 class HolderIndexGroup : public ::testing::TestWithParam<GroupCase> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/dns.hpp"
+#include "net/http_internal.hpp"
 #include "net/http_message.hpp"
 #include "net/sim_net.hpp"
 #include "net/uri.hpp"
@@ -58,13 +59,46 @@ TEST(Uri, FragmentIsStripped) {
 
 class BadUris : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(BadUris, Rejected) { EXPECT_FALSE(parse_uri(GetParam()).has_value()); }
+TEST_P(BadUris, Rejected) {
+  EXPECT_FALSE(parse_uri(GetParam()).has_value());
+  EXPECT_FALSE(absolute_form_host(GetParam()).has_value());
+}
 
 INSTANTIATE_TEST_SUITE_P(Cases, BadUris,
                          ::testing::Values("", "http://", "http://:80/",
                                            "http://h:0/", "http://h:99999/",
                                            "http://h:abc/", "://host/",
-                                           "http://ho st/", "no-scheme-no-slash"));
+                                           "http://ho st/", "no-scheme-no-slash",
+                                           "#frag", "http://h\x7f/", "http://h/\tx"));
+
+TEST(Uri, AbsoluteFormHostIsBorrowedAsWritten) {
+  EXPECT_EQ(absolute_form_host("HTTP://Example.COM:8080/p?q#f"), "Example.COM");
+  EXPECT_EQ(absolute_form_host("http://h?x=1"), "h");
+  EXPECT_FALSE(absolute_form_host("/a/b?q=1").has_value());  // origin form
+}
+
+TEST(Uri, CaseFoldingIsAsciiOnly) {
+  // Bytes outside ASCII are neither whitespace, controls nor letters to
+  // fold, whatever the process locale.
+  const auto uri = parse_uri("http://CAF\xc3\x89.example/");
+  ASSERT_TRUE(uri.has_value());
+  EXPECT_EQ(uri->host, "caf\xc3\x89.example");
+  EXPECT_EQ(ascii_lower('Q'), 'q');
+  EXPECT_EQ(ascii_lower('\xc9'), '\xc9');
+}
+
+// --- Connection options --------------------------------------------------
+
+TEST(TokenList, MatchesAnyCaseAnywhereInTheList) {
+  using detail::token_list_contains;
+  EXPECT_TRUE(token_list_contains("close", "close"));
+  EXPECT_TRUE(token_list_contains("CLOSE", "close"));
+  EXPECT_TRUE(token_list_contains("keep-alive, close", "close"));
+  EXPECT_TRUE(token_list_contains("Upgrade,Close ,keep-alive", "close"));
+  EXPECT_FALSE(token_list_contains("keep-alive", "close"));
+  EXPECT_FALSE(token_list_contains("closed, x-close", "close"));
+  EXPECT_FALSE(token_list_contains("", "close"));
+}
 
 // --- HeaderMap -----------------------------------------------------------
 

@@ -423,18 +423,23 @@ TEST(HostServer, HandlerExceptionBecomes500) {
   server.stop();
 }
 
+// Connection options are a case-insensitive token list (RFC 9110 §7.6.1):
+// "close" in any case, alone or among other options, makes the request the
+// last on its connection, and the response says so.
 TEST(HostServer, ConnectionCloseHeaderIsHonored) {
   EchoHost host;
   HostServer server(&host, "echo.test");
   const std::uint16_t port = server.start();
-  HttpClient client("127.0.0.1", port);
-  net::HttpRequest request;
-  request.target = "/bye";
-  request.headers.set("Connection", "close");
-  const auto response = client.request(request);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->headers.get("Connection"), "close");
-  EXPECT_FALSE(client.connected());  // client dropped the connection too
+  for (const char* value : {"close", "CLOSE", "keep-alive, close"}) {
+    HttpClient client("127.0.0.1", port);
+    net::HttpRequest request;
+    request.target = "/bye";
+    request.headers.set("Connection", value);
+    const auto response = client.request(request);
+    ASSERT_TRUE(response.has_value()) << value;
+    EXPECT_EQ(response->headers.get("Connection"), "close") << value;
+    EXPECT_FALSE(client.connected()) << value;  // client dropped it too
+  }
   server.stop();
 }
 

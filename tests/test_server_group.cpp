@@ -10,11 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sync.hpp"
+#include "net/http_decoder.hpp"
 #include "net/http_message.hpp"
 #include "net/sim_net.hpp"
 #include "runtime/http_client.hpp"
@@ -37,6 +40,91 @@ public:
   }
   core::sync::RelaxedCounter requests_;
 };
+
+/// Raw loopback connection with Nagle off, so every send() leaves as its
+/// own segment, and a 5 s receive timeout.
+ScopedFd raw_connection(std::uint16_t port) {
+  ScopedFd sock(connect_tcp("127.0.0.1", port, 2000, nullptr));
+  if (sock.valid()) {
+    set_nodelay(sock.get());
+    set_io_timeout(sock.get(), 5000);
+  }
+  return sock;
+}
+
+/// Read until one whole response decodes; nullopt on EOF or timeout.
+std::optional<net::HttpResponse> read_response(int fd,
+                                               net::HttpDecoder& decoder) {
+  char buffer[4096];
+  while (true) {
+    if (auto response = decoder.next_response()) return response;
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) return std::nullopt;
+    decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reading: a worker stops at a short read; level-triggered readiness
+// reports whatever arrives later, data or FIN
+
+TEST(ServerGroup, RequestSplitAcrossSegmentsIsServed) {
+  EchoHost host;
+  ServerGroup group(&host, "echo.test");
+  const std::uint16_t port = group.start();
+  ScopedFd sock = raw_connection(port);
+  ASSERT_TRUE(sock.valid());
+  net::HttpDecoder decoder(net::HttpDecoder::Mode::Response);
+
+  for (const char* target : {"/split-1", "/split-2"}) {
+    std::string wire = "GET ";
+    wire += target;
+    wire += " HTTP/1.1\r\nHost: echo.test\r\n\r\n";
+    // Three segments with pauses: the worker reads each fragment short and
+    // must wait for the next readable event to finish the request.
+    for (const auto& [offset, length] :
+         {std::pair<std::size_t, std::size_t>{0, 5}, {5, 20},
+          {25, std::string::npos}}) {
+      const std::string part = wire.substr(offset, length);
+      ASSERT_EQ(::send(sock.get(), part.data(), part.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(part.size()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    const auto response = read_response(sock.get(), decoder);
+    ASSERT_TRUE(response.has_value()) << target;
+    EXPECT_EQ(response->status, 200);
+    EXPECT_EQ(response->body, std::string("echo:") + target);
+  }
+  group.stop();
+  EXPECT_EQ(group.stats().requests_served, 2u);
+  EXPECT_EQ(group.stats().decode_errors, 0u);
+  EXPECT_EQ(group.stats().connections_accepted, 1u);
+}
+
+TEST(ServerGroup, RequestFollowedByFinIsAnsweredThenClosed) {
+  EchoHost host;
+  ServerGroup group(&host, "echo.test");
+  const std::uint16_t port = group.start();
+  ScopedFd sock = raw_connection(port);
+  ASSERT_TRUE(sock.valid());
+
+  // The request and the FIN can land in one readable event: the request
+  // is still answered, and the FIN then closes the connection.
+  const std::string wire = "GET /fin HTTP/1.1\r\nHost: echo.test\r\n\r\n";
+  ASSERT_EQ(::send(sock.get(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  ASSERT_EQ(::shutdown(sock.get(), SHUT_WR), 0);
+
+  net::HttpDecoder decoder(net::HttpDecoder::Mode::Response);
+  const auto response = read_response(sock.get(), decoder);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->body, "echo:/fin");
+  char byte = 0;
+  EXPECT_EQ(::recv(sock.get(), &byte, 1, 0), 0);  // orderly close, no timeout
+  group.stop();
+  EXPECT_EQ(group.stats().requests_served, 1u);
+  EXPECT_EQ(group.stats().connections_closed, 1u);
+}
 
 // ---------------------------------------------------------------------------
 // Fallback path (forced): one acceptor round-robins fds to the workers

@@ -10,7 +10,7 @@ three enforced properties:
                    reach an allocation (operator new / malloc / growing a
                    std container / building a std::string). Known residual
                    allocations live in a checked-in baseline that can only
-                   shrink (the ratchet toward ROADMAP item 2's
+                   shrink (the ratchet toward ROADMAP item 1's
                    zero-allocation hot path).
   loop-blocking    No function that runs on an event-loop thread (any
                    definition annotated IDICN_REQUIRES(<...role...>)) may

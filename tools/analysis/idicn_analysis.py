@@ -45,7 +45,9 @@ ANALYZED_DIRS = ("src",)
 def source_files(compile_db: str | None) -> list:
     """Repo-relative paths to analyze: TU sources from the compilation
     database intersected with ANALYZED_DIRS, plus every project header
-    (headers are not TUs but hold inline hot-path definitions)."""
+    (headers are not TUs but hold inline hot-path definitions). Without a
+    database (a fresh checkout, nothing configured) every .cpp under
+    ANALYZED_DIRS is a TU."""
     files = set()
     if compile_db and os.path.exists(compile_db):
         with open(compile_db, encoding="utf-8") as fh:
@@ -55,11 +57,12 @@ def source_files(compile_db: str | None) -> list:
                 rel = os.path.relpath(path, REPO_ROOT)
                 if rel.startswith(ANALYZED_DIRS):
                     files.add(rel)
+    walk_sources = not files  # decided once: the walk below adds files
     for base in ANALYZED_DIRS:
         for dirpath, _dirs, names in os.walk(os.path.join(REPO_ROOT, base)):
             for name in names:
                 if name.endswith((".hpp", ".h")) or (
-                        not files and name.endswith(".cpp")):
+                        walk_sources and name.endswith(".cpp")):
                     rel = os.path.relpath(os.path.join(dirpath, name),
                                           REPO_ROOT)
                     files.add(rel)

@@ -333,6 +333,24 @@ class FullTreeTest(unittest.TestCase):
     def test_repo_is_clean_against_baselines(self):
         self.assertEqual(idicn_analysis.run([]), 0)
 
+    def test_without_compile_db_every_source_is_analyzed(self):
+        """A fresh checkout has no compilation database: the fallback walk
+        must pick up every .cpp, not just the first one it meets, and the
+        tree must still be clean against the baselines."""
+        missing = os.path.join(idicn_analysis.REPO_ROOT, "no-such-db.json")
+        files = idicn_analysis.source_files(missing)
+        expected = set()
+        for base in idicn_analysis.ANALYZED_DIRS:
+            root = os.path.join(idicn_analysis.REPO_ROOT, base)
+            for dirpath, _dirs, names in os.walk(root):
+                expected.update(
+                    os.path.relpath(os.path.join(dirpath, name),
+                                    idicn_analysis.REPO_ROOT)
+                    for name in names if name.endswith(".cpp"))
+        self.assertGreater(len(expected), 1)
+        self.assertEqual({f for f in files if f.endswith(".cpp")}, expected)
+        self.assertEqual(idicn_analysis.run(["--compile-db", missing]), 0)
+
     def test_annotated_roots_are_discovered(self):
         files = idicn_analysis.source_files(
             os.path.join(idicn_analysis.REPO_ROOT, "compile_commands.json"))
