@@ -7,7 +7,9 @@
 //   * when parse_request accepts a buffer, the decoder must produce the
 //     same first message from the same bytes;
 //   * any message that decodes re-serializes into something the complete
-//     parser accepts (serialize ∘ decode is closed over the grammar).
+//     parser accepts (serialize ∘ decode is closed over the grammar);
+//   * no header value that either parser yields holds CR, LF or NUL (the
+//     response-splitting guard, which runs a fast scan before rewriting).
 //
 // Build with -DIDICN_BUILD_FUZZERS=ON. Under clang the harness links
 // libFuzzer (-fsanitize=fuzzer) and explores autonomously; under gcc it
@@ -28,6 +30,16 @@ using idicn::net::HttpDecoder;
 
 namespace {
 
+/// Values are sanitized on insertion, so none may hold a byte that could
+/// split a message on the wire.
+void check_header_values(const idicn::net::HeaderMap& headers) {
+  for (const auto& field : headers.fields()) {
+    const std::string_view value = field.second;
+    assert(value.find_first_of(std::string_view("\r\n\0", 3)) == std::string_view::npos);
+    (void)value;  // assert-only (NDEBUG builds)
+  }
+}
+
 /// Feed the same bytes in one call and one byte at a time; the number of
 /// decoded messages and the error state must agree.
 void check_feed_invariance(std::string_view input, HttpDecoder::Mode mode) {
@@ -43,6 +55,7 @@ void check_feed_invariance(std::string_view input, HttpDecoder::Mode mode) {
   // Everything decoded must survive a serialize → complete-parse round trip.
   if (mode == HttpDecoder::Mode::Request) {
     while (auto request = whole.next_request()) {
+      check_header_values(request->headers);
       const auto reparsed = idicn::net::parse_request(request->serialize());
       assert(reparsed.has_value());
       assert(reparsed->method == request->method);
@@ -50,6 +63,7 @@ void check_feed_invariance(std::string_view input, HttpDecoder::Mode mode) {
     }
   } else {
     while (auto response = whole.next_response()) {
+      check_header_values(response->headers);
       const auto reparsed = idicn::net::parse_response(response->serialize());
       assert(reparsed.has_value());
       assert(reparsed->status == response->status);
@@ -104,7 +118,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
   // Complete-message parsers on raw bytes.
   const auto request = idicn::net::parse_request(input);
-  (void)idicn::net::parse_response(input);
+  if (request) check_header_values(request->headers);
+  if (const auto response = idicn::net::parse_response(input)) {
+    check_header_values(response->headers);
+  }
 
   // Incremental decoder, both modes, with fragmentation invariance.
   check_feed_invariance(input, HttpDecoder::Mode::Request);

@@ -77,8 +77,7 @@ LamportKeyPair lamport_keygen(std::uint64_t seed) {
   for (std::size_t i = 0; i < 256; ++i) {
     for (std::size_t b = 0; b < 2; ++b) {
       kp.secret.pairs[i][b] = random_digest(rng);
-      kp.pub.pairs[i][b] =
-          Sha256::hash(std::span<const std::uint8_t>(kp.secret.pairs[i][b]));
+      kp.pub.pairs[i][b] = Sha256::hash32(kp.secret.pairs[i][b]);
     }
   }
   return kp;
@@ -98,9 +97,7 @@ bool lamport_verify(const LamportPublicKey& key, std::string_view message,
   const Sha256Digest digest = Sha256::hash(message);
   for (std::size_t i = 0; i < 256; ++i) {
     const std::size_t bit = digest_bit(digest, i) ? 1 : 0;
-    const Sha256Digest expected =
-        Sha256::hash(std::span<const std::uint8_t>(sig.revealed[i]));
-    if (expected != key.pairs[i][bit]) return false;
+    if (Sha256::hash32(sig.revealed[i]) != key.pairs[i][bit]) return false;
   }
   return true;
 }
@@ -194,7 +191,7 @@ MerkleSigner::MerkleSigner(std::uint64_t seed, unsigned height) {
 }
 
 std::string MerkleSigner::fingerprint_hex() const {
-  const Sha256Digest fp = Sha256::hash(std::span<const std::uint8_t>(root_));
+  const Sha256Digest fp = Sha256::hash32(root_);
   return hex_encode(std::span<const std::uint8_t>(fp));
 }
 

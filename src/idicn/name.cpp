@@ -42,8 +42,7 @@ SelfCertifyingName::SelfCertifyingName(std::string label, std::string publisher_
 }
 
 std::string SelfCertifyingName::publisher_id(const crypto::Sha256Digest& root_key) {
-  const crypto::Sha256Digest fingerprint =
-      crypto::Sha256::hash(std::span<const std::uint8_t>(root_key));
+  const crypto::Sha256Digest fingerprint = crypto::Sha256::hash32(root_key);
   return crypto::base32_encode(std::span<const std::uint8_t>(fingerprint));
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -43,7 +44,15 @@ bool parse_fields_and_body(std::string_view text, HeaderMap& headers, std::strin
 }  // namespace
 
 std::string sanitize_header_value(std::string value) {
-  std::erase_if(value, [](char c) { return c == '\r' || c == '\n' || c == '\0'; });
+  // Nearly every value is clean, the ~50 KB proof header included: three
+  // memchr scans settle that at vector speed, and only a value that holds
+  // CR, LF or NUL pays the byte-wise rewrite.
+  const auto holds = [&value](char c) {
+    return std::memchr(value.data(), c, value.size()) != nullptr;
+  };
+  if (holds('\r') || holds('\n') || holds('\0')) {
+    std::erase_if(value, [](char c) { return c == '\r' || c == '\n' || c == '\0'; });
+  }
   return value;
 }
 

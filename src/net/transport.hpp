@@ -65,9 +65,10 @@ using SendCallback = std::function<void(HttpResponse)>;
 /// Receiver side of a streaming fetch (send_streaming): the response head
 /// arrives first, then body bytes chunk by chunk as the wire produces
 /// them. Returning false from either callback cancels the transfer (the
-/// transport stops reading and tears the connection down). The sink's
-/// callbacks run on the sending thread, strictly ordered: one on_head,
-/// then zero or more on_chunk.
+/// transport stops reading and tears the connection down); that is the
+/// caller's choice, never counted as a failure of the destination. The
+/// sink's callbacks run on the sending thread, strictly ordered: one
+/// on_head, then zero or more on_chunk.
 class ChunkSink {
 public:
   virtual ~ChunkSink() = default;

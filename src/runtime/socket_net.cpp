@@ -29,25 +29,42 @@ std::optional<std::uint64_t> parse_retry_after_ms(std::string_view value) {
 
 namespace {
 
-/// Wraps the caller's sink to record whether anything was delivered —
-/// the retry loop must stop replaying attempts once the sink saw a head.
-class DeliveryTrackingSink final : public net::ChunkSink {
+/// Wraps the caller's sink for one attempt and records what it did in a
+/// SinkProgress: the retry ladder stops replaying once the sink saw a
+/// head, and a refusal is told apart from a transport failure. An async
+/// attempt passes its send state as `owner` so the progress outlives the
+/// client's callbacks.
+class TrackingSink final : public net::ChunkSink {
 public:
-  DeliveryTrackingSink(net::ChunkSink& inner, bool* delivered)
-      : inner_(inner), delivered_(delivered) {}
+  TrackingSink(net::ChunkSink& inner, SocketNet::SinkProgress& progress,
+               std::shared_ptr<const void> owner = nullptr)
+      : inner_(inner), progress_(progress), owner_(std::move(owner)) {}
 
   bool on_head(const net::HttpResponse& head) override {
-    *delivered_ = true;
-    return inner_.on_head(head);
+    progress_.delivered = true;
+    return note(inner_.on_head(head));
   }
   bool on_chunk(core::Chunk chunk) override {
-    return inner_.on_chunk(std::move(chunk));
+    return note(inner_.on_chunk(std::move(chunk)));
   }
 
 private:
+  bool note(bool accepted) {
+    if (!accepted) progress_.refused = true;
+    return accepted;
+  }
+
   net::ChunkSink& inner_;
-  bool* delivered_;
+  SocketNet::SinkProgress& progress_;
+  std::shared_ptr<const void> owner_;
 };
+
+/// The head a streaming send reports when the caller's sink refused: a
+/// non-2xx status, so callers that check ok() see the transfer as
+/// incomplete, naming the refusal rather than an unreachable destination.
+net::HttpResponse refused_response(const net::Address& to, const std::string& error) {
+  return net::make_response(504, "upstream " + to + ": " + error);
+}
 
 }  // namespace
 
@@ -141,13 +158,13 @@ std::optional<net::HttpResponse> SocketNet::attempt(
 
 std::optional<net::HttpResponse> SocketNet::attempt_streaming(
     const net::Address& to, const net::HttpRequest& request,
-    net::ChunkSink& sink, bool* delivered, std::string* error) {
+    net::ChunkSink& sink, SinkProgress& progress, std::string* error) {
   auto client = borrow(to);
   if (client == nullptr) {
     *error = "unknown destination";
     return std::nullopt;
   }
-  DeliveryTrackingSink tracking(sink, delivered);
+  TrackingSink tracking(sink, progress);
   auto response = client->request_streaming(request, tracking, error);
   if (!response) return std::nullopt;
   give_back(to, std::move(client));
@@ -189,19 +206,20 @@ net::HttpResponse SocketNet::send_streaming(const net::Address& from,
   const std::uint64_t started_ms = now_ms();
   const int max_attempts =
       options_.enable_retries ? std::max(1, options_.retry.max_attempts) : 1;
-  bool delivered = false;
+  SinkProgress progress;
   std::string error;
   for (int attempt = 1;; ++attempt) {
-    auto response =
-        attempt_streaming(to, request, sink, &delivered, &error);
-    if (response) {
+    auto response = attempt_streaming(to, request, sink, progress, &error);
+    if (response || progress.refused) {
+      // A refusal is the caller's choice, made after the destination
+      // answered: no fault of the destination, and no send failure.
       if (breaker != nullptr) breaker->record_success(now_ms());
-      return *response;
+      return response ? *response : refused_response(to, error);
     }
     if (breaker != nullptr) breaker->record_failure(now_ms());
     // Once the sink has seen the head, a retry would deliver the body
     // prefix twice — the failure must surface to the caller instead.
-    if (delivered) break;
+    if (progress.delivered) break;
     if (attempt >= max_attempts) break;
     if (breaker != nullptr &&
         breaker->state(now_ms()) == CircuitBreaker::State::Open) {
@@ -331,32 +349,9 @@ struct SocketNet::AsyncSendState {
   std::uint64_t started_ms = 0;
   int max_attempts = 1;
   int attempt = 1;
-  bool delivered = false;  ///< the caller's sink saw a head — no more retries
+  SinkProgress progress;  ///< what the caller's sink did, across attempts
   std::unique_ptr<AsyncHttpClient> client;  ///< held across one attempt
 };
-
-namespace {
-
-/// Async twin of DeliveryTrackingSink: flips the state's delivered flag on
-/// the head so the retry ladder stops replaying into the caller's sink.
-class AsyncTrackingSink final : public net::ChunkSink {
-public:
-  explicit AsyncTrackingSink(std::shared_ptr<SocketNet::AsyncSendState> state)
-      : state_(std::move(state)) {}
-
-  bool on_head(const net::HttpResponse& head) override {
-    state_->delivered = true;
-    return state_->sink->on_head(head);
-  }
-  bool on_chunk(core::Chunk chunk) override {
-    return state_->sink->on_chunk(std::move(chunk));
-  }
-
-private:
-  std::shared_ptr<SocketNet::AsyncSendState> state_;
-};
-
-}  // namespace
 
 void SocketNet::send_async(const net::Address& from, const net::Address& to,
                            const net::HttpRequest& request, net::Executor* exec,
@@ -447,7 +442,8 @@ void SocketNet::async_attempt(std::shared_ptr<AsyncSendState> state) {
   }
   std::shared_ptr<net::ChunkSink> attempt_sink;
   if (state->sink != nullptr) {
-    attempt_sink = std::make_shared<AsyncTrackingSink>(state);
+    attempt_sink =
+        std::make_shared<TrackingSink>(*state->sink, state->progress, state);
   }
   AsyncHttpClient* client = state->client.get();
   client->assert_owned();
@@ -470,7 +466,7 @@ void SocketNet::finish_async_attempt(std::shared_ptr<AsyncSendState> state,
     // and still bounded by attempts, deadline, and the retry budget. The
     // exchange itself was clean HTTP, so the connection pools and the
     // local breaker records nothing either way.
-    if (head->status == 503 && !state->delivered &&
+    if (head->status == 503 && !state->progress.delivered &&
         state->attempt < state->max_attempts) {
       const auto hint = head->headers.get_view("Retry-After");
       const auto hint_ms =
@@ -501,13 +497,21 @@ void SocketNet::finish_async_attempt(std::shared_ptr<AsyncSendState> state,
     return;
   }
   state->client.reset();  // a failed connection is never pooled
+  if (state->progress.refused) {
+    // The caller's sink ended the transfer after the destination answered
+    // (a hedge loser, say): as in the blocking envelope, a success for the
+    // breaker and no send failure.
+    if (state->breaker != nullptr) state->breaker->record_success(now_ms());
+    state->done(refused_response(state->to, error));
+    return;
+  }
   if (state->breaker != nullptr) state->breaker->record_failure(now_ms());
 
   // The same ladder as the blocking envelope, in the same order.
   bool give_up = false;
   // Once the sink has seen the head, a retry would deliver the body prefix
   // twice — the failure must surface to the caller instead.
-  if (state->delivered) give_up = true;
+  if (state->progress.delivered) give_up = true;
   if (!give_up && state->attempt >= state->max_attempts) give_up = true;
   if (!give_up && state->breaker != nullptr &&
       state->breaker->state(now_ms()) == CircuitBreaker::State::Open) {

@@ -26,6 +26,10 @@
 //     `failure_threshold` consecutive transport failures the breaker opens
 //     and sends fast-fail with a synthesized 503 + Retry-After instead of
 //     burning the connect timeout, then half-opens and probes its way back.
+//     A streaming caller's own refusal (its sink returns false: a hedge
+//     loser, an error head it will not read) is not a transport failure:
+//     the destination answered, so the breaker records a success and
+//     send_failures does not move.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +129,8 @@ public:
 
   struct Stats {
     std::uint64_t requests_sent = 0;
-    std::uint64_t send_failures = 0;  ///< unknown endpoint or socket error
+    /// Unknown endpoint or socket error; never a caller's sink refusal.
+    std::uint64_t send_failures = 0;
     std::uint64_t connections_opened = 0;
     std::uint64_t retries = 0;             ///< backoff-delayed re-attempts
     std::uint64_t breaker_fast_fails = 0;  ///< 503s from an open breaker
@@ -141,11 +146,19 @@ public:
   [[nodiscard]] CircuitBreaker::State breaker_state(const net::Address& to) const
       IDICN_EXCLUDES(mutex_);
 
-  /// One in-flight async send's retry envelope (defined in the .cpp;
-  /// public only so the .cpp's helper sink can name it).
-  struct AsyncSendState;
+  /// What the caller's sink did during one streaming send: whether it saw
+  /// a head (the point past which retrying would double-deliver) and
+  /// whether it refused a callback (the caller ended the transfer).
+  /// Public only so the .cpp's helper sink can name it.
+  struct SinkProgress {
+    bool delivered = false;
+    bool refused = false;
+  };
 
 private:
+  /// One in-flight async send's retry envelope (defined in the .cpp).
+  struct AsyncSendState;
+
   struct Endpoint {
     std::string host;
     std::uint16_t port = 0;
@@ -179,11 +192,10 @@ private:
                                            std::string* error)
       IDICN_EXCLUDES(mutex_);
 
-  /// Streaming variant of attempt(); `delivered` is set once the sink has
-  /// observed the head (the point past which retrying would double-deliver).
+  /// Streaming variant of attempt(); `progress` records what the sink did.
   std::optional<net::HttpResponse> attempt_streaming(
       const net::Address& to, const net::HttpRequest& request,
-      net::ChunkSink& sink, bool* delivered, std::string* error)
+      net::ChunkSink& sink, SinkProgress& progress, std::string* error)
       IDICN_EXCLUDES(mutex_);
 
   /// Shared front half of send_async/send_streaming_async: the unknown-

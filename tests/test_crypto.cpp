@@ -1,6 +1,7 @@
 // Crypto substrate tests: SHA-256 against FIPS vectors (both compression
-// kernels), hex/base32 codecs, HMAC against RFC 4231, Lamport and Merkle
-// signatures incl. forgery, tamper and malformed-encoding rejection.
+// kernels, and the one-block hash32 against the streaming hash),
+// hex/base32 codecs, Lamport and Merkle signatures incl. forgery, tamper
+// and malformed-encoding rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +9,6 @@
 
 #include "crypto/base32.hpp"
 #include "crypto/hex.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/lamport.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_blocks.hpp"
@@ -190,6 +190,29 @@ TEST(Sha256Kernels, HardwareMatchesPortableOnRandomBlocks) {
   }
 }
 
+// The one-block hash of 32 seeded bytes against Sha256::hash of the same
+// bytes, which pads and streams them.
+void expect_one_block_matches_streaming(detail::Sha256OneBlock one_block) {
+  std::mt19937_64 rng(32);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    Sha256Digest input{};
+    for (auto& byte : input) byte = static_cast<std::uint8_t>(rng());
+    ASSERT_EQ(one_block(input), Sha256::hash(std::span<const std::uint8_t>(input)))
+        << "trial=" << trial;
+  }
+}
+
+TEST(Sha256Kernels, SelectedOneBlockMatchesStreaming) {
+  // Sha256::hash32 runs whichever one-block kernel CPUID selected.
+  expect_one_block_matches_streaming(&Sha256::hash32);
+}
+
+TEST(Sha256Kernels, HardwareOneBlockMatchesStreaming) {
+  const detail::Sha256OneBlock hardware = detail::sha256_32_hardware();
+  if (hardware == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  expect_one_block_matches_streaming(hardware);
+}
+
 // --- hex ---------------------------------------------------------------
 
 TEST(Hex, EncodeDecodeRoundtrip) {
@@ -281,40 +304,6 @@ TEST(Base32, DecodeAcceptsUppercase) {
   const auto decoded = base32_decode("MZXW6YTBOI");
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::string(decoded->begin(), decoded->end()), "foobar");
-}
-
-// --- HMAC-SHA256 (RFC 4231) ----------------------------------------------
-
-TEST(Hmac, Rfc4231Case1) {
-  const std::vector<std::uint8_t> key(20, 0x0b);
-  const Sha256Digest mac = hmac_sha256(
-      std::span<const std::uint8_t>(key),
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("Hi There"), 8));
-  EXPECT_EQ(hex_of(mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(Hmac, Rfc4231Case2) {
-  const Sha256Digest mac = hmac_sha256("Jefe", "what do ya want for nothing?");
-  EXPECT_EQ(hex_of(mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(Hmac, LongKeyIsHashedFirst) {
-  // RFC 4231 case 6: 131-byte key.
-  const std::vector<std::uint8_t> key(131, 0xaa);
-  const std::string message = "Test Using Larger Than Block-Size Key - Hash Key First";
-  const Sha256Digest mac = hmac_sha256(
-      std::span<const std::uint8_t>(key),
-      std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(message.data()), message.size()));
-  EXPECT_EQ(hex_of(mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
-}
-
-TEST(Hmac, DifferentKeysDiffer) {
-  EXPECT_NE(hmac_sha256("key1", "message"), hmac_sha256("key2", "message"));
-  EXPECT_NE(hmac_sha256("key", "message1"), hmac_sha256("key", "message2"));
 }
 
 // --- Lamport one-time signatures -------------------------------------------

@@ -409,6 +409,23 @@ TEST(HeaderInjection, SanitizeStripsCrLfNul) {
   EXPECT_EQ(sanitize_header_value("evil\r\nX-Injected: 1"), "evilX-Injected: 1");
   EXPECT_EQ(sanitize_header_value(std::string("a\0b", 3)), "ab");
   EXPECT_EQ(sanitize_header_value("\r\n\r\n"), "");
+
+  // Values the size of a Lamport proof: a clean one comes back unchanged,
+  // and a CR, LF or NUL is stripped at the first byte, the middle and the
+  // last byte.
+  std::string clean(64 * 1024, '\0');
+  for (std::size_t i = 0; i < clean.size(); ++i) clean[i] = "0123456789abcdef:,"[i % 18];
+  EXPECT_EQ(sanitize_header_value(clean), clean);
+  for (const char bad : {'\r', '\n', '\0'}) {
+    for (const std::size_t at : {std::size_t{0}, clean.size() / 2, clean.size() - 1}) {
+      std::string dirty = clean;
+      dirty[at] = bad;
+      std::string expected = clean;
+      expected.erase(at, 1);
+      EXPECT_EQ(sanitize_header_value(dirty), expected)
+          << "byte " << static_cast<int>(bad) << " at " << at;
+    }
+  }
 }
 
 TEST(HeaderInjection, HeaderMapSanitizesOnInsertion) {

@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -769,6 +771,71 @@ TEST(SocketNet, BreakerHalfOpensProbesAndRecloses) {
   EXPECT_EQ(socket_net.send("a", "flappy.svc", net::HttpRequest{}).status, 200);
   EXPECT_EQ(socket_net.breaker_state("flappy.svc"),
             CircuitBreaker::State::Closed);
+  server.stop();
+}
+
+/// Refuses every head, as MultiSourceFetcher does for a hedge attempt that
+/// lost the race.
+class RefusingSink final : public net::ChunkSink {
+public:
+  bool on_head(const net::HttpResponse&) override {
+    ++heads;
+    return false;
+  }
+  bool on_chunk(core::Chunk) override { return false; }
+  int heads = 0;
+};
+
+TEST(SocketNet, SinkRefusalsFromALiveServerKeepTheBreakerClosed) {
+  // Regression: a caller's sink refusing heads used to count as transport
+  // failures, so `failure_threshold` hedge losers in a row fast-failed a
+  // healthy replica. Both envelopes, blocking and loop-native, refuse
+  // twice the threshold here.
+  EchoHost host;
+  HostServer server(&host, "live.svc");
+  server.start();
+  EventLoop loop;  // declared first: it outlives socket_net's async pool
+  SocketNet::Options options;
+  options.breaker.failure_threshold = 3;
+  options.breaker.open_ms = 30'000;  // an opened breaker stays open
+  SocketNet socket_net(options);
+  socket_net.register_endpoint(server);
+  const int refusals = 2 * options.breaker.failure_threshold;
+  net::HttpRequest request;
+  request.target = "/refused";
+
+  for (int i = 0; i < refusals; ++i) {
+    RefusingSink sink;
+    const auto head = socket_net.send_streaming("a", "live.svc", request, sink);
+    EXPECT_EQ(sink.heads, 1) << "refusal " << i << " never reached the server";
+    EXPECT_FALSE(head.ok());
+    EXPECT_EQ(socket_net.breaker_state("live.svc"),
+              CircuitBreaker::State::Closed);
+  }
+
+  auto sink = std::make_shared<RefusingSink>();
+  int completed = 0;
+  std::function<void()> send_next = [&] {
+    socket_net.send_streaming_async(
+        "a", "live.svc", request, sink, &loop, [&](net::HttpResponse head) {
+          EXPECT_FALSE(head.ok());
+          if (++completed == refusals) {
+            loop.stop();
+          } else {
+            send_next();
+          }
+        });
+  };
+  loop.post(send_next);
+  loop.run();
+  EXPECT_EQ(sink->heads, refusals);
+  EXPECT_EQ(socket_net.breaker_state("live.svc"), CircuitBreaker::State::Closed);
+
+  const SocketNet::Stats stats = socket_net.stats();
+  EXPECT_EQ(stats.breaker_fast_fails, 0u);
+  EXPECT_EQ(stats.send_failures, 0u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(socket_net.send("a", "live.svc", request).status, 200);
   server.stop();
 }
 
