@@ -33,8 +33,7 @@
 // synchronous handle_http drives the identical machine with a null
 // executor, where every transport hop completes inline. The content store
 // is striped across Options::cache_shards shards (host-hashed, each a
-// private entries-map + LRU list + byte budget behind its own Mutex, the
-// same layout cache::ShardedCache gives the simulator policies); shard
+// private entries-map + LRU list + byte budget behind its own Mutex); shard
 // locks are never held across network I/O or a client respond — a stale
 // hit snapshots its validators, revalidates unlocked, then re-locks to
 // renew. Counters:

@@ -117,15 +117,22 @@ FaultInjector::Decision FaultInjector::decide(const Address& to) {
   return decision;
 }
 
-void FaultInjector::stall(std::uint64_t delay_ms) const {
-  if (delay_ms == 0) return;
-  if (latency_hook_) {
-    latency_hook_(delay_ms);
-    return;
+void FaultInjector::stall(Executor* exec, std::uint64_t delay_ms,
+                          std::function<void()> then) const {
+  if (delay_ms > 0) {
+    if (latency_hook_) {
+      latency_hook_(delay_ms);  // a virtual clock advances inline
+    } else if (exec != nullptr) {
+      exec->schedule(delay_ms, std::move(then));
+      return;
+    } else {
+      // No executor: the send completes before returning, so a slow
+      // upstream blocks the calling thread exactly like this.
+      // idicn-analysis: allow(*): null-executor fallback; a send given an executor arms its timer instead
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    }
   }
-  // Blocking on purpose: a slow upstream stalls SocketNet's blocking
-  // HttpClient exactly like this (SimNet callers install a latency hook).
-  std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  then();
 }
 
 void FaultInjector::mutate_body(const Rule& rule, HttpResponse& response) {
@@ -148,89 +155,84 @@ void FaultInjector::mutate_body(const Rule& rule, HttpResponse& response) {
                        std::to_string(response.body.size()));
 }
 
-HttpResponse FaultInjector::send(const Address& from, const Address& to,
-                                 const HttpRequest& request) {
+void FaultInjector::send_streaming_async(const Address& from, const Address& to,
+                                         const HttpRequest& request,
+                                         std::shared_ptr<ChunkSink> sink,
+                                         Executor* exec, SendCallback done) {
   const Decision decision = decide(to);
-  if (decision.degrade_ms > 0) stall(decision.degrade_ms);
-  if (!decision.fire) return inner_->send(from, to, request);
-  switch (decision.rule.kind) {
-    case FaultKind::Drop:
-      return make_response(504, "fault injected: destination " + to +
-                                    " dropped");
-    case FaultKind::BlackHole:
-      stall(decision.rule.latency_ms);
-      return make_response(504, "fault injected: destination " + to +
-                                    " black-holed");
-    case FaultKind::Reset:
-      return make_response(504, "fault injected: connection to " + to +
-                                    " reset by peer");
-    case FaultKind::Latency: {
-      stall(decision.rule.latency_ms);
-      return inner_->send(from, to, request);
-    }
-    case FaultKind::TruncateBody:
-    case FaultKind::CorruptBody: {
-      HttpResponse response = inner_->send(from, to, request);
-      if (response.ok()) mutate_body(decision.rule, response);
-      return response;
-    }
-  }
-  return inner_->send(from, to, request);  // unreachable
+  stall(exec, decision.degrade_ms,
+        [this, decision, from, to, request, sink = std::move(sink), exec,
+         done = std::move(done)]() mutable {
+          act(decision, from, to, request, std::move(sink), exec,
+              std::move(done));
+        });
 }
 
-HttpResponse FaultInjector::send_streaming(const Address& from, const Address& to,
-                                           const HttpRequest& request,
-                                           ChunkSink& sink) {
-  const Decision decision = decide(to);
-  if (decision.degrade_ms > 0) stall(decision.degrade_ms);
-  if (!decision.fire) return inner_->send_streaming(from, to, request, sink);
+void FaultInjector::act(const Decision& decision, const Address& from,
+                        const Address& to, const HttpRequest& request,
+                        std::shared_ptr<ChunkSink> sink, Executor* exec,
+                        SendCallback done) {
+  if (!decision.fire) {
+    inner_->send_streaming_async(from, to, request, std::move(sink), exec,
+                                 std::move(done));
+    return;
+  }
   switch (decision.rule.kind) {
     case FaultKind::Drop:
-      return make_response(504, "fault injected: destination " + to +
-                                    " dropped");
+      done(make_response(504, "fault injected: destination " + to +
+                                  " dropped"));
+      return;
     case FaultKind::BlackHole:
-      stall(decision.rule.latency_ms);
-      return make_response(504, "fault injected: destination " + to +
-                                    " black-holed");
+      stall(exec, decision.rule.latency_ms, [to, done = std::move(done)]() {
+        done(make_response(504, "fault injected: destination " + to +
+                                    " black-holed"));
+      });
+      return;
     case FaultKind::Reset:
-      return make_response(504, "fault injected: connection to " + to +
-                                    " reset by peer");
+      done(make_response(504, "fault injected: connection to " + to +
+                                  " reset by peer"));
+      return;
     case FaultKind::Latency:
-      stall(decision.rule.latency_ms);
-      return inner_->send_streaming(from, to, request, sink);
+      stall(exec, decision.rule.latency_ms,
+            [this, from, to, request, sink = std::move(sink), exec,
+             done = std::move(done)]() mutable {
+              inner_->send_streaming_async(from, to, request, std::move(sink),
+                                           exec, std::move(done));
+            });
+      return;
     case FaultKind::TruncateBody:
     case FaultKind::CorruptBody: {
       // The fault rewrites the body, so it must be materialized first:
       // buffered inner send, mutate, then replay through the sink.
-      HttpResponse response = inner_->send(from, to, request);
-      if (response.ok()) mutate_body(decision.rule, response);
-      core::ChunkedBody body = response.take_body_chunks();
-      if (!sink.on_head(response)) return response;
-      for (const core::Chunk& chunk : body.chunks()) {
-        if (!sink.on_chunk(chunk)) break;
-      }
-      return response;
+      inner_->send_streaming_async(
+          from, to, request, nullptr, exec,
+          [rule = decision.rule, sink = std::move(sink),
+           done = std::move(done)](HttpResponse response) {
+            if (response.ok()) mutate_body(rule, response);
+            if (sink != nullptr) replay_to_sink(response, *sink);
+            done(std::move(response));
+          });
+      return;
     }
   }
-  return inner_->send_streaming(from, to, request, sink);  // unreachable
 }
 
 std::vector<HttpResponse> FaultInjector::multicast(const Address& group_from,
                                                    const std::string& group,
                                                    const HttpRequest& request) {
   const Decision decision = decide(group);
-  if (decision.degrade_ms > 0) stall(decision.degrade_ms);
+  stall(nullptr, decision.degrade_ms, [] {});
   if (!decision.fire) return inner_->multicast(group_from, group, request);
   switch (decision.rule.kind) {
     case FaultKind::Drop:
     case FaultKind::BlackHole:
     case FaultKind::Reset:
       if (decision.rule.kind == FaultKind::BlackHole) {
-        stall(decision.rule.latency_ms);
+        stall(nullptr, decision.rule.latency_ms, [] {});
       }
       return {};  // the whole group is unreachable
     case FaultKind::Latency:
-      stall(decision.rule.latency_ms);
+      stall(nullptr, decision.rule.latency_ms, [] {});
       return inner_->multicast(group_from, group, request);
     case FaultKind::TruncateBody:
     case FaultKind::CorruptBody: {
@@ -245,165 +247,5 @@ std::vector<HttpResponse> FaultInjector::multicast(const Address& group_from,
 }
 
 std::uint64_t FaultInjector::now_ms() const { return inner_->now_ms(); }
-
-void FaultInjector::stall_async(Executor& exec, std::uint64_t delay_ms,
-                                std::function<void()> then) const {
-  if (delay_ms == 0) {
-    then();
-    return;
-  }
-  if (latency_hook_) {
-    // Virtual clock: the hook advances time inline, so `then` can too.
-    latency_hook_(delay_ms);
-    then();
-    return;
-  }
-  exec.schedule(delay_ms, std::move(then));
-}
-
-void FaultInjector::send_async(const Address& from, const Address& to,
-                               const HttpRequest& request, Executor* exec,
-                               SendCallback done) {
-  if (exec == nullptr) {
-    // idicn-analysis: allow(*): sync fallback used only off-loop (no executor supplied)
-    done(send(from, to, request));
-    return;
-  }
-  const Decision decision = decide(to);
-  if (decision.degrade_ms > 0) {
-    stall_async(*exec, decision.degrade_ms,
-                [this, decision, from, to, request, exec,
-                 done = std::move(done)]() mutable {
-                  act_send_async(decision, from, to, request, exec,
-                                 std::move(done));
-                });
-    return;
-  }
-  act_send_async(decision, from, to, request, exec, std::move(done));
-}
-
-void FaultInjector::act_send_async(const Decision& decision,
-                                   const Address& from, const Address& to,
-                                   const HttpRequest& request, Executor* exec,
-                                   SendCallback done) {
-  if (!decision.fire) {
-    inner_->send_async(from, to, request, exec, std::move(done));
-    return;
-  }
-  switch (decision.rule.kind) {
-    case FaultKind::Drop:
-      done(make_response(504, "fault injected: destination " + to +
-                                  " dropped"));
-      return;
-    case FaultKind::BlackHole:
-      stall_async(*exec, decision.rule.latency_ms, [to, done = std::move(done)]() {
-        done(make_response(504, "fault injected: destination " + to +
-                                    " black-holed"));
-      });
-      return;
-    case FaultKind::Reset:
-      done(make_response(504, "fault injected: connection to " + to +
-                                  " reset by peer"));
-      return;
-    case FaultKind::Latency:
-      stall_async(*exec, decision.rule.latency_ms,
-                  [this, from, to, request, exec, done = std::move(done)]() {
-                    inner_->send_async(from, to, request, exec, done);
-                  });
-      return;
-    case FaultKind::TruncateBody:
-    case FaultKind::CorruptBody: {
-      const Rule rule = decision.rule;
-      inner_->send_async(from, to, request, exec,
-                         [rule, done = std::move(done)](HttpResponse response) {
-                           if (response.ok()) mutate_body(rule, response);
-                           done(std::move(response));
-                         });
-      return;
-    }
-  }
-  inner_->send_async(from, to, request, exec, std::move(done));  // unreachable
-}
-
-void FaultInjector::send_streaming_async(const Address& from, const Address& to,
-                                         const HttpRequest& request,
-                                         std::shared_ptr<ChunkSink> sink,
-                                         Executor* exec, SendCallback done) {
-  if (exec == nullptr) {
-    // idicn-analysis: allow(*): sync fallback used only off-loop (no executor supplied)
-    done(send_streaming(from, to, request, *sink));
-    return;
-  }
-  const Decision decision = decide(to);
-  if (decision.degrade_ms > 0) {
-    stall_async(*exec, decision.degrade_ms,
-                [this, decision, from, to, request, sink = std::move(sink),
-                 exec, done = std::move(done)]() mutable {
-                  act_streaming_async(decision, from, to, request,
-                                      std::move(sink), exec, std::move(done));
-                });
-    return;
-  }
-  act_streaming_async(decision, from, to, request, std::move(sink), exec,
-                      std::move(done));
-}
-
-void FaultInjector::act_streaming_async(const Decision& decision,
-                                        const Address& from, const Address& to,
-                                        const HttpRequest& request,
-                                        std::shared_ptr<ChunkSink> sink,
-                                        Executor* exec, SendCallback done) {
-  if (!decision.fire) {
-    inner_->send_streaming_async(from, to, request, std::move(sink), exec,
-                                 std::move(done));
-    return;
-  }
-  switch (decision.rule.kind) {
-    case FaultKind::Drop:
-      done(make_response(504, "fault injected: destination " + to +
-                                  " dropped"));
-      return;
-    case FaultKind::BlackHole:
-      stall_async(*exec, decision.rule.latency_ms, [to, done = std::move(done)]() {
-        done(make_response(504, "fault injected: destination " + to +
-                                    " black-holed"));
-      });
-      return;
-    case FaultKind::Reset:
-      done(make_response(504, "fault injected: connection to " + to +
-                                  " reset by peer"));
-      return;
-    case FaultKind::Latency:
-      stall_async(*exec, decision.rule.latency_ms,
-                  [this, from, to, request, sink = std::move(sink), exec,
-                   done = std::move(done)]() {
-                    inner_->send_streaming_async(from, to, request, sink, exec,
-                                                 done);
-                  });
-      return;
-    case FaultKind::TruncateBody:
-    case FaultKind::CorruptBody: {
-      // Body-mutating faults need the whole body before replay: buffered
-      // inner async send, mutate, then stream through the sink.
-      const Rule rule = decision.rule;
-      inner_->send_async(
-          from, to, request, exec,
-          [rule, sink = std::move(sink),
-           done = std::move(done)](HttpResponse response) {
-            if (response.ok()) mutate_body(rule, response);
-            core::ChunkedBody body = response.take_body_chunks();
-            if (sink->on_head(response)) {
-              for (const core::Chunk& chunk : body.chunks()) {
-                if (!sink->on_chunk(chunk)) break;
-              }
-            }
-            done(std::move(response));
-          });
-      return;
-    }
-  }
-  inner_->send_streaming_async(from, to, request, std::move(sink), exec,
-                               std::move(done));  // unreachable
-}
 
 }  // namespace idicn::net

@@ -24,10 +24,11 @@
 //                   what idICN verification must catch).
 //   * CorruptBody — forward, then flip a byte of the response body.
 //
-// Latency is injected by blocking the calling thread by default (matching
-// how a slow upstream manifests to SocketNet's blocking HttpClient); tests
-// over SimNet install set_latency_hook() to advance the virtual clock
-// instead of sleeping.
+// Every send takes one path: decide the fault, stall, act. A stall runs
+// through the latency hook when one is installed (tests over SimNet
+// advance the virtual clock there), else on the executor's timer, else —
+// for a send that must complete before returning — by blocking the calling
+// thread, as a slow upstream would.
 #pragma once
 
 #include <cstdint>
@@ -134,41 +135,26 @@ public:
   std::uint64_t add_degradation(Degradation schedule) IDICN_EXCLUDES(mutex_);
   void clear_degradations() IDICN_EXCLUDES(mutex_);
 
-  /// Replace the blocking sleep used for Latency/BlackHole stalls (e.g.
+  /// Run every stall through `hook` instead of a timer or a sleep (e.g.
   /// advance a SimNet virtual clock). Install before traffic flows.
   void set_latency_hook(std::function<void(std::uint64_t)> hook);
 
   [[nodiscard]] Stats stats() const IDICN_EXCLUDES(mutex_);
 
   // Transport:
-  HttpResponse send(const Address& from, const Address& to,
-                    const HttpRequest& request) override;
-  /// Streaming sends keep streaming through the decorator: pass-through and
-  /// Latency faults delegate to the inner transport's send_streaming after
-  /// the stall (the testbed's topology-latency rules sit on exactly this
-  /// path), connectivity faults synthesize the 504 without touching the
-  /// inner transport, and only body-mutating faults fall back to the
-  /// buffered base adaptation (the mutated body must exist before replay).
-  HttpResponse send_streaming(const Address& from, const Address& to,
-                              const HttpRequest& request,
-                              ChunkSink& sink) override;
-  std::vector<HttpResponse> multicast(const Address& group_from,
-                                      const std::string& group,
-                                      const HttpRequest& request) override;
-  [[nodiscard]] std::uint64_t now_ms() const override;
-
-  /// Async decorator path: one decide() per send (same RNG draw order as
-  /// the sync path), stalls armed on the executor's timer wheel instead of
-  /// blocking, connectivity faults synthesize the same 504s, body-mutating
-  /// faults buffer the inner async send and replay through the sink. A
-  /// null executor falls back to the synchronous methods inline.
-  void send_async(const Address& from, const Address& to,
-                  const HttpRequest& request, Executor* exec,
-                  SendCallback done) override;
+  /// One decide() per send, in send order whatever the form of call.
+  /// Connectivity faults synthesize the 504 without touching the inner
+  /// transport; pass-through and Latency faults forward the send (sink and
+  /// executor included) after the stall; body faults buffer the inner send,
+  /// mutate the body, then replay it through the sink.
   void send_streaming_async(const Address& from, const Address& to,
                             const HttpRequest& request,
                             std::shared_ptr<ChunkSink> sink, Executor* exec,
                             SendCallback done) override;
+  std::vector<HttpResponse> multicast(const Address& group_from,
+                                      const std::string& group,
+                                      const HttpRequest& request) override;
+  [[nodiscard]] std::uint64_t now_ms() const override;
 
 private:
   struct StoredRule {
@@ -199,22 +185,16 @@ private:
                                                      std::uint64_t n);
 
   [[nodiscard]] Decision decide(const Address& to) IDICN_EXCLUDES(mutex_);
-  void stall(std::uint64_t delay_ms) const;
-  /// Non-blocking stall: run `then` after `delay_ms` via the executor's
-  /// timer (or the latency hook / inline for a zero delay).
-  void stall_async(Executor& exec, std::uint64_t delay_ms,
-                   std::function<void()> then) const;
+  /// Run `then` once `delay_ms` has passed: inline when there is no delay
+  /// or a latency hook, on `exec`'s timer when there is one, else after a
+  /// blocking sleep.
+  void stall(Executor* exec, std::uint64_t delay_ms,
+             std::function<void()> then) const;
   static void mutate_body(const Rule& rule, HttpResponse& response);
-
-  // Decision tails of the async entry points, run after any degradation
-  // stall has elapsed (factored out so the ramp wraps them untouched).
-  void act_send_async(const Decision& decision, const Address& from,
-                      const Address& to, const HttpRequest& request,
-                      Executor* exec, SendCallback done);
-  void act_streaming_async(const Decision& decision, const Address& from,
-                           const Address& to, const HttpRequest& request,
-                           std::shared_ptr<ChunkSink> sink, Executor* exec,
-                           SendCallback done);
+  /// The decision's tail, run after the degradation stall.
+  void act(const Decision& decision, const Address& from, const Address& to,
+           const HttpRequest& request, std::shared_ptr<ChunkSink> sink,
+           Executor* exec, SendCallback done);
 
   Transport* inner_;
   Options options_;

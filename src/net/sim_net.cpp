@@ -34,23 +34,28 @@ std::uint64_t SimNet::latency_to(const Address& to) const {
   return it != latency_override_.end() ? it->second : default_latency_ms_;
 }
 
-HttpResponse SimNet::send(const Address& from, const Address& to,
-                          const HttpRequest& request) {
+// idicn-analysis: allow(*): message-oriented transport completes inline whatever the executor; no loop-native path runs on SimNet
+void SimNet::send_streaming_async(const Address& from, const Address& to,
+                                  const HttpRequest& request,
+                                  std::shared_ptr<ChunkSink> sink,
+                                  Executor* /*exec*/, SendCallback done) {
   ++messages_sent_;
   bytes_sent_ += request.serialize().size();
   clock_ms_ += latency_to(to);
 
+  HttpResponse response;
   const auto it = hosts_.find(to);
   if (it == hosts_.end() || unreachable_.count(to) != 0) {
-    HttpResponse timeout = make_response(504, "unreachable: " + to);
-    return timeout;
+    response = make_response(504, "unreachable: " + to);
+  } else {
+    ++pair_messages_[{from, to}];
+    response = it->second->handle_http(request, from);
+    // Response trip.
+    clock_ms_ += latency_to(from);
+    bytes_sent_ += response.serialize().size();
   }
-  ++pair_messages_[{from, to}];
-  HttpResponse response = it->second->handle_http(request, from);
-  // Response trip.
-  clock_ms_ += latency_to(from);
-  bytes_sent_ += response.serialize().size();
-  return response;
+  if (sink != nullptr) replay_to_sink(response, *sink);
+  done(std::move(response));
 }
 
 void SimNet::join_group(const std::string& group, const Address& member) {

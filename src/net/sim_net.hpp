@@ -68,11 +68,15 @@ public:
   /// Mark a host (un)reachable without detaching it (mobility, partition).
   void set_reachable(const Address& address, bool reachable);
 
-  /// Deliver `request` to `to`. Unknown or unreachable destinations yield
-  /// 504 Gateway Timeout. Each delivery advances the clock by the link
-  /// latency and the response trip by the same amount.
-  HttpResponse send(const Address& from, const Address& to,
-                    const HttpRequest& request) override;
+  /// Deliver `request` to `to` and complete inline, whatever `exec` is; a
+  /// sink gets the response replayed as if it had streamed. Unknown or
+  /// unreachable destinations yield 504 Gateway Timeout. Each delivery
+  /// advances the clock by the link latency and the response trip by the
+  /// same amount.
+  void send_streaming_async(const Address& from, const Address& to,
+                            const HttpRequest& request,
+                            std::shared_ptr<ChunkSink> sink, Executor* exec,
+                            SendCallback done) override;
 
   // --- multicast groups (Zeroconf / mDNS substrate) --------------------
   void join_group(const std::string& group, const Address& member);

@@ -8,6 +8,8 @@
 //                          (simulation and unit tests);
 //   * runtime::SocketNet — real non-blocking TCP to runtime::HostServer
 //                          endpoints, wall clock (the serving runtime).
+// A transport implements one send primitive, send_streaming_async();
+// send(), send_streaming() and send_async() are adapters over it.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,8 @@ using Address = std::string;
 
 /// Reactor services a transport needs to run an operation asynchronously:
 /// timers plus readiness-driven fd watching, both owned by a single loop
-/// thread. runtime::EventLoop implements this; transports that receive a
-/// null Executor fall back to their synchronous path. All methods must be
+/// thread. runtime::EventLoop implements this; a send given a null
+/// Executor completes before returning instead. All methods must be
 /// called on (or, for fd registration before the loop runs, serialized
 /// with) the owning loop thread — the same discipline EventLoop already
 /// enforces with its loop role.
@@ -56,19 +58,17 @@ public:
   [[nodiscard]] virtual std::uint64_t now_ms_exec() const = 0;
 };
 
-/// Completion for the async send surface: the full (or head-only, for
-/// streaming) response, always delivered exactly once, on the executor's
-/// loop thread when an executor was supplied and the transport supports
-/// asynchrony — otherwise inline before the async call returns.
+/// Completion of a send: the full (or head-only, for streaming) response,
+/// always delivered exactly once.
 using SendCallback = std::function<void(HttpResponse)>;
 
-/// Receiver side of a streaming fetch (send_streaming): the response head
-/// arrives first, then body bytes chunk by chunk as the wire produces
-/// them. Returning false from either callback cancels the transfer (the
-/// transport stops reading and tears the connection down); that is the
-/// caller's choice, never counted as a failure of the destination. The
-/// sink's callbacks run on the sending thread, strictly ordered: one
-/// on_head, then zero or more on_chunk.
+/// Receiver side of a streaming fetch: the response head arrives first,
+/// then body bytes chunk by chunk as the wire produces them. Returning
+/// false from either callback cancels the transfer (the transport stops
+/// reading and tears the connection down); that is the caller's choice,
+/// never counted as a failure of the destination. The sink's callbacks run
+/// on the sending thread, strictly ordered: one on_head, then zero or more
+/// on_chunk.
 class ChunkSink {
 public:
   virtual ~ChunkSink() = default;
@@ -80,64 +80,74 @@ public:
   virtual bool on_chunk(core::Chunk chunk) = 0;
 };
 
-/// Synchronous request/response transport keyed by string addresses.
+/// Hand a buffered response to `sink` as if it had streamed: the head,
+/// then the body chunk by chunk until the sink refuses. `response` keeps
+/// the head; its body is moved out.
+inline void replay_to_sink(HttpResponse& response, ChunkSink& sink) {
+  const core::ChunkedBody body = response.take_body_chunks();
+  if (!sink.on_head(response)) return;
+  for (const core::Chunk& chunk : body.chunks()) {
+    if (!sink.on_chunk(chunk)) return;
+  }
+}
+
+/// Request/response transport keyed by string addresses.
 class Transport {
 public:
   virtual ~Transport() = default;
 
-  /// Deliver `request` to `to` and return the response. Unreachable or
-  /// unknown destinations yield a synthesized 504 Gateway Timeout — the
-  /// caller never sees a transport exception.
-  virtual HttpResponse send(const Address& from, const Address& to,
-                            const HttpRequest& request) = 0;
-
-  /// Like send(), but the response body is delivered incrementally to
-  /// `sink` while it arrives; the returned response is the head (empty
-  /// body). Completion of this call means the body was fully delivered —
-  /// unless a callback cancelled, or the returned status is a transport
-  /// failure synthesized after delivery began (a mid-body upstream death;
-  /// the sink saw a prefix that will never complete). The base
-  /// implementation adapts send(): buffered, then replayed through the
-  /// sink — message-oriented transports (SimNet) and fault decorators
-  /// inherit correct if non-streaming semantics.
-  virtual HttpResponse send_streaming(const Address& from, const Address& to,
-                                      const HttpRequest& request,
-                                      ChunkSink& sink) {
-    HttpResponse response = send(from, to, request);
-    const core::ChunkedBody body = response.take_body_chunks();
-    if (!sink.on_head(response)) return response;
-    for (const core::Chunk& chunk : body.chunks()) {
-      if (!sink.on_chunk(chunk)) break;
-    }
-    return response;
-  }
-
-  /// Asynchronous send: deliver `request` to `to` and hand the response to
-  /// `done` without blocking the calling thread, using `exec` for timers
-  /// and fd readiness. `done` fires exactly once. Transports that have no
-  /// native async path (SimNet, decorators over message-oriented inners)
-  /// complete inline via the synchronous send() before returning — callers
-  /// must tolerate re-entrant completion. Passing a null `exec` always
-  /// selects the synchronous fallback.
-  virtual void send_async(const Address& from, const Address& to,
-                          const HttpRequest& request, Executor* exec,
-                          SendCallback done) {
-    (void)exec;
-    // idicn-analysis: allow(*): sync fallback adapter — message-oriented transports complete inline; loop-native transports override this method
-    done(send(from, to, request));
-  }
-
-  /// Asynchronous streaming send: like send_streaming(), completing via
-  /// `done` with the response head after the body was delivered to `sink`.
-  /// Same inline-fallback contract as send_async(). The sink is shared so
-  /// asynchronous transports can hold it across loop turns.
+  /// The send primitive: deliver `request` to `to` and hand the response
+  /// to `done`, which fires exactly once. Unreachable or unknown
+  /// destinations yield a synthesized 504 Gateway Timeout — the caller
+  /// never sees a transport exception.
+  ///   * A null `sink` buffers the body into the response. Otherwise the
+  ///     body flows to `sink` while it arrives and `done` gets the head
+  ///     (empty body) once the body was delivered — unless a sink callback
+  ///     cancelled, or the status is a transport failure synthesized after
+  ///     delivery began (a mid-body upstream death; the sink saw a prefix
+  ///     that will never complete). The sink is shared so asynchronous
+  ///     transports can hold it across loop turns.
+  ///   * A null `exec` means "complete before returning". Otherwise the
+  ///     send uses `exec` for timers and fd readiness without blocking the
+  ///     calling thread, and `done` fires on the executor's loop thread —
+  ///     or inline before returning, for transports with no native async
+  ///     path (SimNet): callers must tolerate re-entrant completion.
   virtual void send_streaming_async(const Address& from, const Address& to,
                                     const HttpRequest& request,
                                     std::shared_ptr<ChunkSink> sink,
-                                    Executor* exec, SendCallback done) {
-    (void)exec;
-    // idicn-analysis: allow(*): sync fallback adapter — message-oriented transports complete inline; loop-native transports override this method
-    done(send_streaming(from, to, request, *sink));
+                                    Executor* exec, SendCallback done) = 0;
+
+  // The adapters below are virtual only so a decorator can observe each
+  // form of call; implementations override the primitive alone.
+
+  /// Buffered send that completes before returning.
+  virtual HttpResponse send(const Address& from, const Address& to,
+                            const HttpRequest& request) {
+    HttpResponse response;
+    send_streaming_async(
+        from, to, request, nullptr, nullptr,
+        [&response](HttpResponse r) { response = std::move(r); });
+    return response;
+  }
+
+  /// Streaming send that completes before returning; the returned response
+  /// is the head (empty body).
+  virtual HttpResponse send_streaming(const Address& from, const Address& to,
+                                      const HttpRequest& request,
+                                      ChunkSink& sink) {
+    HttpResponse head;
+    // Non-owning: the send completes before `sink` goes out of scope.
+    send_streaming_async(
+        from, to, request, std::shared_ptr<ChunkSink>(&sink, [](ChunkSink*) {}),
+        nullptr, [&head](HttpResponse r) { head = std::move(r); });
+    return head;
+  }
+
+  /// Buffered send completing via `done` (see the primitive for `exec`).
+  virtual void send_async(const Address& from, const Address& to,
+                          const HttpRequest& request, Executor* exec,
+                          SendCallback done) {
+    send_streaming_async(from, to, request, nullptr, exec, std::move(done));
   }
 
   /// Deliver to every reachable member of `group` (except `from`) and

@@ -2,15 +2,15 @@
 // keep-alive reuse, pipelined FIFO requests, incremental response decoding
 // with streaming body delivery, and timer-wheel connect/IO deadlines.
 //
-// This is the asynchronous counterpart of HttpClient — the half that lets
-// a proxy worker fetch from an upstream *without leaving its event loop*:
-// issue() returns immediately, the transfer proceeds via fd readiness
-// callbacks on the owning executor, and the completion (plus any streaming
-// sink callbacks) fires on the loop thread. Error strings, the
-// reconnect-once keep-alive race handling, the stale-connection probe, and
-// Connection: close handling all mirror HttpClient so the two paths stay
-// behaviorally interchangeable (the blocking client remains for off-loop
-// callers: tests, benches, the trace driver).
+// This is the client every SocketNet send runs on — what lets a proxy
+// worker fetch from an upstream *without leaving its event loop*: issue()
+// returns immediately, the transfer proceeds via fd readiness callbacks on
+// the owning executor, and the completion (plus any streaming sink
+// callbacks) fires on the loop thread. A send that must complete before
+// returning runs it on a loop SocketNet lends to the calling thread.
+// Error strings, the reconnect-once keep-alive race handling, the
+// stale-connection probe, and Connection: close handling mirror the
+// blocking HttpClient (kept for tests, benches and the trace driver).
 //
 // Ownership: an AsyncHttpClient is confined to its executor's loop thread.
 // The `role_` thread role is the static ownership domain — every mutating

@@ -1,7 +1,8 @@
 // Blocking HTTP/1.1 client for one endpoint: keep-alive connection reuse,
 // incremental response decoding, send/receive timeouts. This is the
-// caller-side counterpart of HostServer — load generators, examples, and
-// SocketNet all speak through it.
+// caller-side counterpart of HostServer for code that is no idICN host —
+// tests, benches and the testbed's trace driver speak through it; hosts
+// reach their peers through SocketNet.
 #pragma once
 
 #include <cstdint>

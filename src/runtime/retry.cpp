@@ -1,9 +1,6 @@
 #include "runtime/retry.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
-#include <chrono>
 
 namespace idicn::runtime {
 
@@ -29,21 +26,6 @@ bool RetryPolicy::within_deadline(std::uint64_t elapsed_ms,
                                   std::uint64_t delay_ms) const noexcept {
   if (options_.overall_deadline_ms == 0) return true;
   return elapsed_ms + delay_ms < options_.overall_deadline_ms;
-}
-
-void RetryPolicy::sleep(std::uint64_t delay_ms) {
-  if (delay_ms == 0) return;
-  // Empty-set poll() as the wait primitive, resumed across EINTR so the
-  // full delay is honored. Off-loop callers only; loop code must use
-  // schedule_backoff().
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(delay_ms);
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (remaining.count() <= 0) return;
-    ::poll(nullptr, 0, static_cast<int>(remaining.count()));
-  }
 }
 
 net::Executor::TaskId RetryPolicy::schedule_backoff(

@@ -1,20 +1,18 @@
 // Upstream fault-tolerance primitives: retry backoff, retry budget, and
 // per-destination circuit breaking.
 //
-// The runtime's upstream path (SocketNet → HttpClient → TCP) treats every
-// failure as data, but until this layer it reacted to failures naively:
-// each send paid the full connect/IO timeout against a dead destination and
-// reconnect storms could amplify overload. The three classes here are the
-// policy pieces SocketNet::send composes (DESIGN.md §"Failure model &
-// degradation"):
+// The runtime's upstream path (SocketNet → AsyncHttpClient → TCP) treats
+// every failure as data, but until this layer it reacted to failures
+// naively: each send paid the full connect/IO timeout against a dead
+// destination and reconnect storms could amplify overload. The three
+// classes here are the policy pieces SocketNet's send envelope composes
+// (DESIGN.md §"Failure model & degradation"):
 //   * RetryPolicy   — capped exponential backoff with *full jitter*
 //                     (delay ~ Uniform[0, min(cap, base·2^attempt)]), a
 //                     seeded deterministic RNG, and an overall deadline so
 //                     a send's retries cannot outlive the caller's patience.
-//                     The loop-native async send path reschedules backoff
-//                     through the timer wheel (schedule_backoff); the
-//                     blocking sleep() remains only for off-loop callers
-//                     (tests, benches, the trace driver).
+//                     Backoff is a timer on the send's loop
+//                     (schedule_backoff), never a sleeping thread.
 //   * RetryBudget   — a token bucket that couples retry volume to request
 //                     volume: each first attempt deposits a fraction of a
 //                     token, each retry withdraws a whole one. Under a hard
@@ -47,7 +45,7 @@ class RetryPolicy {
     int max_attempts = 3;  ///< total tries per send, including the first
     std::uint64_t base_delay_ms = 25;   ///< backoff scale for retry #1
     std::uint64_t max_delay_ms = 1'000; ///< per-delay cap
-    /// Retries (and their sleeps) must fit in this window measured from the
+    /// Retries (and their backoff) must fit in this window measured from the
     /// first attempt; 0 = unbounded.
     std::uint64_t overall_deadline_ms = 10'000;
     std::uint64_t seed = 0x1d1c4e75;  ///< jitter RNG seed (deterministic tests)
@@ -65,11 +63,6 @@ class RetryPolicy {
   /// deadline, given `elapsed_ms` already spent on this send.
   [[nodiscard]] bool within_deadline(std::uint64_t elapsed_ms,
                                      std::uint64_t delay_ms) const noexcept;
-
-  /// Blocking backoff for off-loop callers (tests, benches, the trace
-  /// driver): block the calling thread for `delay_ms`. Never call on an
-  /// event-loop thread — loop code uses schedule_backoff() instead.
-  static void sleep(std::uint64_t delay_ms);
 
   /// Non-blocking backoff: arm a one-shot timer on `exec` that runs
   /// `resume` after `delay_ms` (0 ⇒ still deferred one timer dispatch, so

@@ -31,13 +31,12 @@ namespace {
 
 /// Wraps the caller's sink for one attempt and records what it did in a
 /// SinkProgress: the retry ladder stops replaying once the sink saw a
-/// head, and a refusal is told apart from a transport failure. An async
-/// attempt passes its send state as `owner` so the progress outlives the
-/// client's callbacks.
+/// head, and a refusal is told apart from a transport failure. `owner` is
+/// the send state, so the progress outlives the client's callbacks.
 class TrackingSink final : public net::ChunkSink {
 public:
   TrackingSink(net::ChunkSink& inner, SocketNet::SinkProgress& progress,
-               std::shared_ptr<const void> owner = nullptr)
+               std::shared_ptr<const void> owner)
       : inner_(inner), progress_(progress), owner_(std::move(owner)) {}
 
   bool on_head(const net::HttpResponse& head) override {
@@ -79,7 +78,6 @@ void SocketNet::register_endpoint(const net::Address& address, std::string host,
   Endpoint& endpoint = endpoints_[address];
   endpoint.host = std::move(host);
   endpoint.port = port;
-  endpoint.idle.clear();
   endpoint.async_idle.clear();
 }
 
@@ -101,38 +99,6 @@ void SocketNet::join_group(const net::Address& address, const std::string& group
   }
 }
 
-std::unique_ptr<HttpClient> SocketNet::borrow(const net::Address& to) {
-  const core::sync::MutexLock lock(mutex_);
-  const auto it = endpoints_.find(to);
-  if (it == endpoints_.end()) return nullptr;
-  Endpoint& endpoint = it->second;
-  while (!endpoint.idle.empty()) {
-    auto client = std::move(endpoint.idle.back());
-    endpoint.idle.pop_back();
-    // The peer may have closed (or written into) this connection while it
-    // sat pooled — reusing it would either fail the round trip or, worse,
-    // decode stale buffered bytes as the next response. Probe and discard.
-    // idicn-analysis: allow(lock-across-io): MSG_PEEK|MSG_DONTWAIT probe never waits
-    if (client->stale_connection()) {
-      ++stats_.stale_pool_drops;
-      continue;
-    }
-    return client;
-  }
-  ++stats_.connections_opened;
-  return std::make_unique<HttpClient>(endpoint.host, endpoint.port,
-                                      options_.client);
-}
-
-void SocketNet::give_back(const net::Address& to,
-                          std::unique_ptr<HttpClient> client) {
-  const core::sync::MutexLock lock(mutex_);
-  const auto it = endpoints_.find(to);
-  // Drop the connection when the endpoint moved while we were using it.
-  if (it == endpoints_.end() || it->second.port != client->port()) return;
-  it->second.idle.push_back(std::move(client));
-}
-
 std::shared_ptr<CircuitBreaker> SocketNet::breaker_for(const net::Address& to) {
   const core::sync::MutexLock lock(mutex_);
   auto& breaker = breakers_[to];
@@ -140,172 +106,6 @@ std::shared_ptr<CircuitBreaker> SocketNet::breaker_for(const net::Address& to) {
     breaker = std::make_shared<CircuitBreaker>(options_.breaker);
   }
   return breaker;
-}
-
-std::optional<net::HttpResponse> SocketNet::attempt(
-    const net::Address& to, const net::HttpRequest& request,
-    std::string* error) {
-  auto client = borrow(to);
-  if (client == nullptr) {
-    *error = "unknown destination";
-    return std::nullopt;
-  }
-  auto response = client->request(request, error);
-  if (!response) return std::nullopt;
-  give_back(to, std::move(client));
-  return response;
-}
-
-std::optional<net::HttpResponse> SocketNet::attempt_streaming(
-    const net::Address& to, const net::HttpRequest& request,
-    net::ChunkSink& sink, SinkProgress& progress, std::string* error) {
-  auto client = borrow(to);
-  if (client == nullptr) {
-    *error = "unknown destination";
-    return std::nullopt;
-  }
-  TrackingSink tracking(sink, progress);
-  auto response = client->request_streaming(request, tracking, error);
-  if (!response) return std::nullopt;
-  give_back(to, std::move(client));
-  return response;
-}
-
-net::HttpResponse SocketNet::send_streaming(const net::Address& from,
-                                            const net::Address& to,
-                                            const net::HttpRequest& request,
-                                            net::ChunkSink& sink) {
-  (void)from;
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.requests_sent;
-    if (endpoints_.find(to) == endpoints_.end()) {
-      ++stats_.send_failures;
-      return net::make_response(504, "unknown destination: " + to);
-    }
-  }
-
-  std::shared_ptr<CircuitBreaker> breaker;
-  if (options_.enable_breakers) {
-    breaker = breaker_for(to);
-    if (!breaker->allow(now_ms())) {
-      const std::uint64_t wait_ms = breaker->retry_after_ms(now_ms());
-      {
-        const core::sync::MutexLock lock(mutex_);
-        ++stats_.breaker_fast_fails;
-        ++stats_.send_failures;
-      }
-      auto response =
-          net::make_response(503, "circuit open for " + to + "; fast-fail");
-      response.headers.set("Retry-After", retry_after_seconds(wait_ms));
-      return response;
-    }
-  }
-
-  retry_budget_.on_attempt();
-  const std::uint64_t started_ms = now_ms();
-  const int max_attempts =
-      options_.enable_retries ? std::max(1, options_.retry.max_attempts) : 1;
-  SinkProgress progress;
-  std::string error;
-  for (int attempt = 1;; ++attempt) {
-    auto response = attempt_streaming(to, request, sink, progress, &error);
-    if (response || progress.refused) {
-      // A refusal is the caller's choice, made after the destination
-      // answered: no fault of the destination, and no send failure.
-      if (breaker != nullptr) breaker->record_success(now_ms());
-      return response ? *response : refused_response(to, error);
-    }
-    if (breaker != nullptr) breaker->record_failure(now_ms());
-    // Once the sink has seen the head, a retry would deliver the body
-    // prefix twice — the failure must surface to the caller instead.
-    if (progress.delivered) break;
-    if (attempt >= max_attempts) break;
-    if (breaker != nullptr &&
-        breaker->state(now_ms()) == CircuitBreaker::State::Open) {
-      break;
-    }
-    const std::uint64_t delay_ms = retry_policy_.backoff_delay_ms(attempt);
-    if (!retry_policy_.within_deadline(now_ms() - started_ms, delay_ms)) break;
-    if (!retry_budget_.try_spend()) break;
-    {
-      const core::sync::MutexLock lock(mutex_);
-      ++stats_.retries;
-    }
-    RetryPolicy::sleep(delay_ms);
-  }
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.send_failures;
-  }
-  return net::make_response(504, "upstream " + to + " unreachable: " + error);
-}
-
-net::HttpResponse SocketNet::send(const net::Address& from, const net::Address& to,
-                                  const net::HttpRequest& request) {
-  (void)from;  // the TCP peer address is what the receiving server reports
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.requests_sent;
-    // Unknown destinations are a wiring error, not upstream ill health:
-    // fail immediately, no breaker accounting, no retries.
-    if (endpoints_.find(to) == endpoints_.end()) {
-      ++stats_.send_failures;
-      return net::make_response(504, "unknown destination: " + to);
-    }
-  }
-
-  std::shared_ptr<CircuitBreaker> breaker;
-  if (options_.enable_breakers) {
-    breaker = breaker_for(to);
-    if (!breaker->allow(now_ms())) {
-      const std::uint64_t wait_ms = breaker->retry_after_ms(now_ms());
-      {
-        const core::sync::MutexLock lock(mutex_);
-        ++stats_.breaker_fast_fails;
-        ++stats_.send_failures;
-      }
-      auto response =
-          net::make_response(503, "circuit open for " + to + "; fast-fail");
-      response.headers.set("Retry-After", retry_after_seconds(wait_ms));
-      return response;
-    }
-  }
-
-  retry_budget_.on_attempt();
-  const std::uint64_t started_ms = now_ms();
-  const int max_attempts =
-      options_.enable_retries ? std::max(1, options_.retry.max_attempts) : 1;
-  std::string error;
-  for (int attempt = 1;; ++attempt) {
-    auto response = this->attempt(to, request, &error);
-    if (response) {
-      if (breaker != nullptr) breaker->record_success(now_ms());
-      return *response;
-    }
-    if (breaker != nullptr) breaker->record_failure(now_ms());
-    if (attempt >= max_attempts) break;
-    // A breaker that opened on this failure wins over further retries —
-    // the destination is down, stop dialing. (Observer only: allow() could
-    // reserve a half-open probe slot we might never report an outcome for.)
-    if (breaker != nullptr &&
-        breaker->state(now_ms()) == CircuitBreaker::State::Open) {
-      break;
-    }
-    const std::uint64_t delay_ms = retry_policy_.backoff_delay_ms(attempt);
-    if (!retry_policy_.within_deadline(now_ms() - started_ms, delay_ms)) break;
-    if (!retry_budget_.try_spend()) break;
-    {
-      const core::sync::MutexLock lock(mutex_);
-      ++stats_.retries;
-    }
-    RetryPolicy::sleep(delay_ms);
-  }
-  {
-    const core::sync::MutexLock lock(mutex_);
-    ++stats_.send_failures;
-  }
-  return net::make_response(504, "upstream " + to + " unreachable: " + error);
 }
 
 std::vector<net::HttpResponse> SocketNet::multicast(const net::Address& from,
@@ -332,7 +132,7 @@ std::uint64_t SocketNet::now_ms() const {
           .count());
 }
 
-// --- loop-native async send path -------------------------------------------
+// --- the send envelope -------------------------------------------------------
 
 /// Everything one logical async send carries across attempts. The state is
 /// shared between the issued op's completion, the tracking sink, and the
@@ -353,44 +153,51 @@ struct SocketNet::AsyncSendState {
   std::unique_ptr<AsyncHttpClient> client;  ///< held across one attempt
 };
 
-void SocketNet::send_async(const net::Address& from, const net::Address& to,
-                           const net::HttpRequest& request, net::Executor* exec,
-                           net::SendCallback done) {
-  (void)from;
-  if (exec == nullptr) {
-    // idicn-analysis: allow(*): sync fallback used only off-loop (no executor supplied)
-    done(send(from, to, request));
-    return;
-  }
-  auto state = std::make_shared<AsyncSendState>();
-  state->net = this;
-  state->to = to;
-  state->request = request;
-  state->exec = exec;
-  state->done = std::move(done);
-  start_async_send(std::move(state));
-}
-
 void SocketNet::send_streaming_async(const net::Address& from,
                                      const net::Address& to,
                                      const net::HttpRequest& request,
                                      std::shared_ptr<net::ChunkSink> sink,
                                      net::Executor* exec,
                                      net::SendCallback done) {
-  (void)from;
-  if (exec == nullptr) {
-    // idicn-analysis: allow(*): sync fallback used only off-loop (no executor supplied)
-    done(send_streaming(from, to, request, *sink));
-    return;
-  }
+  (void)from;  // the TCP peer address is what the receiving server reports
   auto state = std::make_shared<AsyncSendState>();
   state->net = this;
   state->to = to;
   state->request = request;
   state->sink = std::move(sink);
+  if (exec == nullptr) {
+    // idicn-analysis: allow(*): null-executor fallback pumps a loop lent to this send, never the caller's loop
+    done(send_on_lent_loop(std::move(state)));
+    return;
+  }
   state->exec = exec;
   state->done = std::move(done);
   start_async_send(std::move(state));
+}
+
+net::HttpResponse SocketNet::send_on_lent_loop(
+    std::shared_ptr<AsyncSendState> state) {
+  std::unique_ptr<EventLoop> loop;
+  {
+    const core::sync::MutexLock lock(mutex_);
+    if (!lent_loops_.empty()) {
+      loop = std::move(lent_loops_.back());
+      lent_loops_.pop_back();
+    }
+  }
+  if (loop == nullptr) loop = std::make_unique<EventLoop>();
+  std::optional<net::HttpResponse> response;
+  state->exec = loop.get();
+  state->done = [&response](net::HttpResponse r) { response = std::move(r); };
+  start_async_send(std::move(state));
+  // Every callback of this send runs on this loop, so once `done` fired
+  // nothing of it is left queued there.
+  while (!response) loop->run_once(1'000);
+  {
+    const core::sync::MutexLock lock(mutex_);
+    lent_loops_.push_back(std::move(loop));
+  }
+  return std::move(*response);
 }
 
 void SocketNet::start_async_send(std::shared_ptr<AsyncSendState> state) {
@@ -499,15 +306,13 @@ void SocketNet::finish_async_attempt(std::shared_ptr<AsyncSendState> state,
   state->client.reset();  // a failed connection is never pooled
   if (state->progress.refused) {
     // The caller's sink ended the transfer after the destination answered
-    // (a hedge loser, say): as in the blocking envelope, a success for the
-    // breaker and no send failure.
+    // (a hedge loser, say): a success for the breaker and no send failure.
     if (state->breaker != nullptr) state->breaker->record_success(now_ms());
     state->done(refused_response(state->to, error));
     return;
   }
   if (state->breaker != nullptr) state->breaker->record_failure(now_ms());
 
-  // The same ladder as the blocking envelope, in the same order.
   bool give_up = false;
   // Once the sink has seen the head, a retry would deliver the body prefix
   // twice — the failure must surface to the caller instead.
@@ -556,9 +361,9 @@ std::unique_ptr<AsyncHttpClient> SocketNet::borrow_async(const net::Address& to,
   while (!pool.empty()) {
     auto client = std::move(pool.back());
     pool.pop_back();
-    // Same borrow-time staleness check as the blocking pool: a pooled
-    // connection the peer closed (or wrote into) while idle must be
-    // discarded, not reused.
+    // The peer may have closed (or written into) this connection while it
+    // sat pooled — reusing it would either fail the round trip or, worse,
+    // decode stale buffered bytes as the next response. Probe and discard.
     // idicn-analysis: allow(lock-across-io): MSG_PEEK|MSG_DONTWAIT probe never waits
     if (client->stale_connection()) {
       ++stats_.stale_pool_drops;
@@ -567,11 +372,8 @@ std::unique_ptr<AsyncHttpClient> SocketNet::borrow_async(const net::Address& to,
     return client;
   }
   ++stats_.connections_opened;
-  AsyncHttpClient::Options client_options;
-  client_options.connect_timeout_ms = options_.client.connect_timeout_ms;
-  client_options.io_timeout_ms = options_.client.io_timeout_ms;
   return std::make_unique<AsyncHttpClient>(exec, endpoint.host, endpoint.port,
-                                           client_options);
+                                           options_.client);
 }
 
 void SocketNet::give_back_async(const net::Address& to, net::Executor* exec,

@@ -2,26 +2,31 @@
 //
 // SocketNet maps logical idICN addresses ("proxy0", "nrs.idicn.org", …) to
 // TCP endpoints (always 127.0.0.1:<port> in this prototype) and carries
-// Transport::send() over blocking keep-alive HttpClients. Existing hosts
+// every send over loop-native keep-alive AsyncHttpClients. Existing hosts
 // built against net::Transport — Proxy, ReverseProxy, Client, the NRS —
 // run over it unmodified.
 //
-// Connections are pooled per destination: send() borrows a client from the
-// destination's pool (or dials a fresh one), performs the round trip, and
-// returns the client on success. Concurrent senders to the same destination
-// therefore get independent connections instead of serializing. Pooled
-// connections the peer closed while idle are detected on borrow (a
-// zero-byte MSG_PEEK probe) and discarded rather than surfacing a spurious
-// failure or replaying a stale buffered response.
+// Connections are pooled per destination and per executor (a client is
+// confined to its loop thread). A send given an executor runs there; a
+// send without one (it must complete before returning) borrows a loop that
+// SocketNet owns, pumps it on the calling thread until the send settles,
+// and hands it back — so concurrent blocking senders get independent
+// loops and connections instead of serializing, and each lent loop keeps
+// its own keep-alive pool. Pooled connections the peer closed while idle
+// are detected on borrow (a zero-byte MSG_PEEK probe) and discarded rather
+// than surfacing a spurious failure or replaying a stale buffered response.
 //
 // Failure semantics match SimNet: an unknown or unreachable destination
 // yields a synthesized 504 Gateway Timeout, never an exception. On top of
 // that sits the fault-tolerance layer (DESIGN.md §"Failure model &
-// degradation"):
+// degradation"), one envelope for every form of call:
 //   * transport failures are retried with RetryPolicy's full-jitter capped
 //     exponential backoff, bounded per send by max_attempts and the overall
 //     deadline (each try's connect/IO timeouts are the per-try deadline),
 //     and globally by a RetryBudget so retries cannot amplify overload;
+//     backoff is a timer on the send's loop, never a sleeping thread;
+//   * a buffered send answered 503 with a Retry-After hint is replayed no
+//     earlier than the hint, under the same bounds;
 //   * every destination gets a CircuitBreaker — after
 //     `failure_threshold` consecutive transport failures the breaker opens
 //     and sends fast-fail with a synthesized 503 + Retry-After instead of
@@ -43,7 +48,7 @@
 #include "core/sync.hpp"
 #include "net/transport.hpp"
 #include "runtime/async_http_client.hpp"
-#include "runtime/http_client.hpp"
+#include "runtime/event_loop.hpp"
 #include "runtime/retry.hpp"
 
 namespace idicn::runtime {
@@ -60,7 +65,7 @@ class ServerGroup;
 class SocketNet final : public net::Transport {
 public:
   struct Options {
-    HttpClient::Options client;
+    AsyncHttpClient::Options client;
     /// Retry transport failures with backoff (off ⇒ one attempt per send).
     bool enable_retries = true;
     /// Fast-fail via per-destination circuit breakers.
@@ -71,7 +76,6 @@ public:
   };
 
   SocketNet();
-  explicit SocketNet(HttpClient::Options client_options);
   explicit SocketNet(Options options);
   ~SocketNet() override = default;
 
@@ -93,39 +97,24 @@ public:
   void join_group(const net::Address& address, const std::string& group);
 
   // net::Transport
-  net::HttpResponse send(const net::Address& from, const net::Address& to,
-                         const net::HttpRequest& request) override;
-  /// Streaming send: body chunks flow to `sink` as the wire produces them
-  /// instead of buffering in the client. Same failure envelope as send()
-  /// (504 synthesis, breakers, budgeted retries) with one restriction:
-  /// retries stop the moment the sink has seen anything — a replay would
-  /// deliver the prefix twice. A mid-body failure therefore surfaces as a
-  /// 504 *after* the sink consumed a partial body; callers must treat an
-  /// error head as "discard what you streamed".
-  net::HttpResponse send_streaming(const net::Address& from,
-                                   const net::Address& to,
-                                   const net::HttpRequest& request,
-                                   net::ChunkSink& sink) override;
-  std::vector<net::HttpResponse> multicast(const net::Address& from,
-                                           const std::string& group,
-                                           const net::HttpRequest& request) override;
-  [[nodiscard]] std::uint64_t now_ms() const override;
-
-  /// Loop-native sends: the same failure envelope as send()/send_streaming()
-  /// — 504 synthesis, breaker fast-fail, budgeted full-jitter retries — but
-  /// each attempt runs on `exec` via a pooled AsyncHttpClient and backoff is
-  /// a timer-wheel reschedule instead of a sleeping thread. `done` fires
-  /// exactly once on the loop thread (inline for the synthesized fast
-  /// failures). A null `exec` falls back to the blocking path inline; never
-  /// do that on a loop thread.
-  void send_async(const net::Address& from, const net::Address& to,
-                  const net::HttpRequest& request, net::Executor* exec,
-                  net::SendCallback done) override;
+  /// Streaming sends deliver body chunks to `sink` as the wire produces
+  /// them, with one restriction on the envelope: retries stop the moment
+  /// the sink has seen anything — a replay would deliver the prefix twice.
+  /// A mid-body failure therefore surfaces as a 504 *after* the sink
+  /// consumed a partial body; callers must treat an error head as "discard
+  /// what you streamed". `done` fires exactly once on the loop thread
+  /// (inline for the synthesized fast failures). A null `exec` pumps a lent
+  /// loop on the calling thread, which may itself be some other loop's
+  /// thread (a host publishing from its own loop).
   void send_streaming_async(const net::Address& from, const net::Address& to,
                             const net::HttpRequest& request,
                             std::shared_ptr<net::ChunkSink> sink,
                             net::Executor* exec,
                             net::SendCallback done) override;
+  std::vector<net::HttpResponse> multicast(const net::Address& from,
+                                           const std::string& group,
+                                           const net::HttpRequest& request) override;
+  [[nodiscard]] std::uint64_t now_ms() const override;
 
   struct Stats {
     std::uint64_t requests_sent = 0;
@@ -135,8 +124,8 @@ public:
     std::uint64_t retries = 0;             ///< backoff-delayed re-attempts
     std::uint64_t breaker_fast_fails = 0;  ///< 503s from an open breaker
     std::uint64_t stale_pool_drops = 0;    ///< dead pooled fds discarded
-    /// Async retries whose delay was stretched to a peer's Retry-After
-    /// hint on a 503 (instead of the generic backoff curve).
+    /// Retries whose delay was stretched to a peer's Retry-After hint on
+    /// a 503 (instead of the generic backoff curve).
     std::uint64_t retry_after_honored = 0;
   };
   [[nodiscard]] Stats stats() const IDICN_EXCLUDES(mutex_);
@@ -162,57 +151,38 @@ private:
   struct Endpoint {
     std::string host;
     std::uint16_t port = 0;
-    std::vector<std::unique_ptr<HttpClient>> idle;  ///< pooled connections
-    /// Parked loop-native connections, per owning executor (an
-    /// AsyncHttpClient is confined to its loop thread, so pools never mix
-    /// executors). Parked clients are unwatched and timer-less — safe to
-    /// destroy from any thread when the endpoint is replaced or forgotten.
+    /// Parked connections, per owning executor (an AsyncHttpClient is
+    /// confined to its loop thread, so pools never mix executors). Parked
+    /// clients are unwatched and timer-less — safe to destroy from any
+    /// thread when the endpoint is replaced or forgotten.
     std::map<net::Executor*, std::vector<std::unique_ptr<AsyncHttpClient>>>
         async_idle;
   };
-
-  /// Borrow a pooled (or freshly dialed) client for `to`; nullptr when the
-  /// address is unknown. Pooled clients whose connection went stale while
-  /// idle are discarded here. Ownership of the client transfers to the
-  /// caller — the mutex hand-off is what makes pooled connections safe to
-  /// pass between sender threads.
-  std::unique_ptr<HttpClient> borrow(const net::Address& to) IDICN_EXCLUDES(mutex_);
-  void give_back(const net::Address& to, std::unique_ptr<HttpClient> client)
-      IDICN_EXCLUDES(mutex_);
 
   /// The destination's breaker, created on first use (shared_ptr so callers
   /// operate on it outside the map lock; CircuitBreaker is thread-safe).
   std::shared_ptr<CircuitBreaker> breaker_for(const net::Address& to)
       IDICN_EXCLUDES(mutex_);
 
-  /// One borrow → round trip → give_back attempt. On failure the reason is
-  /// left in `error` and nullopt returned.
-  std::optional<net::HttpResponse> attempt(const net::Address& to,
-                                           const net::HttpRequest& request,
-                                           std::string* error)
+  /// A null-executor send: run the envelope on a lent loop, pumped on the
+  /// calling thread until it settles; the response it settled with.
+  net::HttpResponse send_on_lent_loop(std::shared_ptr<AsyncSendState> state)
       IDICN_EXCLUDES(mutex_);
-
-  /// Streaming variant of attempt(); `progress` records what the sink did.
-  std::optional<net::HttpResponse> attempt_streaming(
-      const net::Address& to, const net::HttpRequest& request,
-      net::ChunkSink& sink, SinkProgress& progress, std::string* error)
-      IDICN_EXCLUDES(mutex_);
-
-  /// Shared front half of send_async/send_streaming_async: the unknown-
-  /// destination and breaker fast-fail gates, then the first attempt.
+  /// Front half of every send: the unknown-destination and breaker
+  /// fast-fail gates, then the first attempt.
   void start_async_send(std::shared_ptr<AsyncSendState> state)
       IDICN_EXCLUDES(mutex_);
   /// One borrow → issue attempt on the state's executor.
   void async_attempt(std::shared_ptr<AsyncSendState> state)
       IDICN_EXCLUDES(mutex_);
-  /// Attempt outcome: success completes, failure walks the same retry
-  /// ladder as the blocking envelope with timer-wheel backoff.
+  /// Attempt outcome: success completes, failure walks the retry ladder
+  /// with timer-wheel backoff.
   void finish_async_attempt(std::shared_ptr<AsyncSendState> state,
                             std::optional<net::HttpResponse> head,
                             std::string error) IDICN_EXCLUDES(mutex_);
 
-  /// Async counterpart of borrow(): pooled clients owned by `exec`, with
-  /// the same borrow-time staleness probe. nullptr when `to` is unknown.
+  /// Pooled clients owned by `exec`, with a borrow-time staleness probe.
+  /// nullptr when `to` is unknown.
   std::unique_ptr<AsyncHttpClient> borrow_async(const net::Address& to,
                                                 net::Executor* exec)
       IDICN_EXCLUDES(mutex_);
@@ -224,6 +194,9 @@ private:
   RetryPolicy retry_policy_;
   RetryBudget retry_budget_;
   mutable core::sync::Mutex mutex_;
+  /// Loops no blocking sender holds right now. Declared before endpoints_
+  /// so the pooled clients keyed by them are destroyed first.
+  std::vector<std::unique_ptr<EventLoop>> lent_loops_ IDICN_GUARDED_BY(mutex_);
   std::map<net::Address, Endpoint> endpoints_ IDICN_GUARDED_BY(mutex_);
   std::map<std::string, std::vector<net::Address>> groups_ IDICN_GUARDED_BY(mutex_);
   std::map<net::Address, std::shared_ptr<CircuitBreaker>> breakers_
@@ -234,11 +207,5 @@ private:
 // Out of line: Options' default member initializers only become usable once
 // SocketNet is a complete type.
 inline SocketNet::SocketNet() : SocketNet(Options{}) {}
-inline SocketNet::SocketNet(HttpClient::Options client_options)
-    : SocketNet([&] {
-        Options options;
-        options.client = client_options;
-        return options;
-      }()) {}
 
 }  // namespace idicn::runtime

@@ -12,10 +12,13 @@ TimerWheel::TimerWheel(std::uint64_t tick_ms, std::size_t slots, std::uint64_t s
 
 TimerWheel::Bucket& TimerWheel::bucket_for(std::uint64_t deadline_ms,
                                            std::uint64_t& rounds) {
-  // Ceil to the next tick so a timer never fires early.
+  // Ceil to the next tick so a timer never fires early. A deadline on the
+  // current tick (a zero delay scheduled exactly on a tick boundary) goes
+  // to the next one: advance_to() never revisits the current bucket before
+  // a full revolution.
   const std::uint64_t deadline_tick = (deadline_ms + tick_ms_ - 1) / tick_ms_;
   const std::uint64_t ticks_out =
-      deadline_tick > current_tick_ ? deadline_tick - current_tick_ : 0;
+      deadline_tick > current_tick_ ? deadline_tick - current_tick_ : 1;
   rounds = ticks_out / buckets_.size();
   return buckets_[(current_tick_ + ticks_out) % buckets_.size()];
 }

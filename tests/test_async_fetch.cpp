@@ -366,38 +366,47 @@ struct RetryAfterHost : net::SimHost {
 TEST(AsyncFetch, RetryAfterHintDelaysAsyncRetry) {
   // A 503 with a Retry-After hint must be replayed no earlier than the
   // hinted second — not on the generic ~5 ms backoff curve — and the
-  // replay is a timer-wheel park, not a blocked thread.
-  runtime::SocketNet net(async_net_options());
-  RetryAfterHost host;
-  runtime::ServerGroup server(&host, "flaky.svc");
-  server.start();
-  net.register_endpoint(server);
+  // replay is a timer-wheel park, not a blocked thread. The blocking send
+  // runs the same envelope on a lent loop, so it honours the hint too.
+  for (const bool blocking : {false, true}) {
+    SCOPED_TRACE(blocking ? "blocking send" : "send_async on a loop");
+    runtime::EventLoop loop;
+    runtime::SocketNet net(async_net_options());
+    RetryAfterHost host;
+    runtime::ServerGroup server(&host, "flaky.svc");
+    server.start();
+    net.register_endpoint(server);
 
-  runtime::EventLoop loop;
-  std::optional<net::HttpResponse> answer;
-  std::uint64_t elapsed_ms = 0;
-  net::HttpRequest request;
-  request.method = "GET";
-  request.target = "/";
-  const auto t0 = Clock::now();
-  loop.post([&] {
-    net.send_async("client", "flaky.svc", request, &loop,
-                   [&](net::HttpResponse response) {
-                     answer = std::move(response);
-                     elapsed_ms = ms_since(t0);
-                     loop.stop();
-                   });
-  });
-  loop.run();
-  server.stop();
+    std::optional<net::HttpResponse> answer;
+    std::uint64_t elapsed_ms = 0;
+    net::HttpRequest request;
+    request.method = "GET";
+    request.target = "/";
+    const auto t0 = Clock::now();
+    if (blocking) {
+      answer = net.send("client", "flaky.svc", request);
+      elapsed_ms = ms_since(t0);
+    } else {
+      loop.post([&] {
+        net.send_async("client", "flaky.svc", request, &loop,
+                       [&](net::HttpResponse response) {
+                         answer = std::move(response);
+                         elapsed_ms = ms_since(t0);
+                         loop.stop();
+                       });
+      });
+      loop.run();
+    }
+    server.stop();
 
-  ASSERT_TRUE(answer.has_value());
-  EXPECT_EQ(answer->status, 200);
-  EXPECT_EQ(answer->body, "recovered");
-  EXPECT_EQ(host.hits.load(), 2);
-  EXPECT_GE(elapsed_ms, 1000u);  // no earlier than the hint
-  EXPECT_EQ(net.stats().retry_after_honored, 1u);
-  EXPECT_EQ(net.stats().retries, 1u);
+    ASSERT_TRUE(answer.has_value());
+    EXPECT_EQ(answer->status, 200);
+    EXPECT_EQ(answer->body, "recovered");
+    EXPECT_EQ(host.hits.load(), 2);
+    EXPECT_GE(elapsed_ms, 1000u);  // no earlier than the hint
+    EXPECT_EQ(net.stats().retry_after_honored, 1u);
+    EXPECT_EQ(net.stats().retries, 1u);
+  }
 }
 
 }  // namespace

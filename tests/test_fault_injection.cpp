@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "idicn/nrs.hpp"
@@ -223,6 +228,162 @@ TEST(FaultInjector, MulticastDropSilencesTheGroup) {
   EXPECT_TRUE(faulty.multicast("c", "peers", net::HttpRequest{}).empty());
   faulty.set_enabled(id, false);
   EXPECT_EQ(faulty.multicast("c", "peers", net::HttpRequest{}).size(), 2u);
+}
+
+/// Executor that runs scheduled tasks only when the test asks.
+class ManualExecutor final : public net::Executor {
+public:
+  TaskId schedule(std::uint64_t delay_ms, std::function<void()> fn) override {
+    tasks_.push_back({next_id_, now_ms_ + delay_ms, std::move(fn)});
+    return next_id_++;
+  }
+  bool cancel(TaskId id) override {
+    return std::erase_if(tasks_, [id](const Task& t) { return t.id == id; }) > 0;
+  }
+  bool watch_fd(int, bool, bool, IoCallback) override { return false; }
+  bool update_fd(int, bool, bool) override { return false; }
+  void unwatch_fd(int) override {}
+  [[nodiscard]] std::uint64_t now_ms_exec() const override { return now_ms_; }
+
+  /// Run every due task, advancing the clock to each deadline in turn.
+  void run_all() {
+    while (!tasks_.empty()) {
+      auto next = std::min_element(tasks_.begin(), tasks_.end(),
+                                   [](const Task& a, const Task& b) {
+                                     return a.deadline_ms < b.deadline_ms;
+                                   });
+      Task task = std::move(*next);
+      tasks_.erase(next);
+      now_ms_ = task.deadline_ms;
+      task.fn();
+    }
+  }
+
+private:
+  struct Task {
+    TaskId id;
+    std::uint64_t deadline_ms;
+    std::function<void()> fn;
+  };
+  std::vector<Task> tasks_;
+  TaskId next_id_ = 1;
+  std::uint64_t now_ms_ = 0;
+};
+
+/// Collects what a streaming send delivers.
+class BodySink final : public net::ChunkSink {
+public:
+  bool on_head(const net::HttpResponse&) override { return true; }
+  bool on_chunk(core::Chunk chunk) override {
+    body.append(chunk.view());
+    return true;
+  }
+  std::string body;
+};
+
+enum class EntryPoint { Send, SendStreaming, SendAsync };
+
+/// What one seeded plan did to 60 sends made through `entry`: each send's
+/// status and body, the hook's stalls, and the injector's stats.
+struct PlanRun {
+  std::vector<std::pair<int, std::string>> replies;
+  std::vector<std::uint64_t> stalls;
+  net::FaultInjector::Stats stats;
+};
+
+PlanRun run_seeded_plan(EntryPoint entry) {
+  net::SimNet net;
+  EchoHost host;
+  net.attach("svc", &host);
+  net::FaultInjector::Options options;
+  options.seed = 20'240;
+  net::FaultInjector faulty(&net, options);
+  PlanRun run;
+  faulty.set_latency_hook([&run](std::uint64_t ms) { run.stalls.push_back(ms); });
+
+  net::FaultInjector::Rule drop;
+  drop.to = "svc";
+  drop.kind = net::FaultInjector::FaultKind::Drop;
+  drop.probability = 0.3;
+  faulty.add_rule(drop);
+  net::FaultInjector::Rule corrupt;
+  corrupt.to = "svc";
+  corrupt.kind = net::FaultInjector::FaultKind::CorruptBody;
+  corrupt.after_sends = 20;
+  corrupt.until_sends = 35;
+  faulty.add_rule(corrupt);
+  net::FaultInjector::Rule slow;
+  slow.to = "svc";
+  slow.kind = net::FaultInjector::FaultKind::Latency;
+  slow.probability = 0.5;
+  slow.latency_ms = 40;
+  faulty.add_rule(slow);
+  net::FaultInjector::Degradation ramp;
+  ramp.to = "svc";
+  ramp.start_latency_ms = 5;
+  ramp.peak_latency_ms = 95;
+  ramp.ramp_start = 10;
+  ramp.ramp_sends = 10;
+  ramp.hold_until = 45;
+  faulty.add_degradation(ramp);
+
+  ManualExecutor exec;
+  for (int i = 0; i < 60; ++i) {
+    net::HttpRequest request;
+    request.target = "/object-" + std::to_string(i);
+    net::HttpResponse response;
+    std::string body;
+    if (entry == EntryPoint::Send) {
+      response = faulty.send("client", "svc", request);
+    } else if (entry == EntryPoint::SendStreaming) {
+      BodySink sink;
+      response = faulty.send_streaming("client", "svc", request, sink);
+      body = sink.body;  // a synthesized fault's body rides the head
+    } else {
+      bool done = false;
+      faulty.send_async("client", "svc", request, &exec,
+                        [&](net::HttpResponse r) {
+                          response = std::move(r);
+                          done = true;
+                        });
+      exec.run_all();
+      EXPECT_TRUE(done) << "send " << i;
+    }
+    run.replies.emplace_back(response.status, body + response.full_body());
+  }
+  run.stats = faulty.stats();
+  return run;
+}
+
+auto stats_fields(const net::FaultInjector::Stats& s) {
+  return std::make_tuple(s.sends, s.drops, s.black_holes, s.resets, s.delays,
+                         s.truncations, s.corruptions, s.degraded_sends,
+                         s.degrade_ms);
+}
+
+TEST(FaultInjector, SeededPlanGivesSameResultsThroughEveryEntryPoint) {
+  const PlanRun buffered = run_seeded_plan(EntryPoint::Send);
+  // The plan really exercises every leg: drops, corruptions, delays and a
+  // ramp, with clean sends in between.
+  EXPECT_GT(buffered.stats.drops, 0u);
+  EXPECT_GT(buffered.stats.corruptions, 0u);
+  EXPECT_GT(buffered.stats.delays, 0u);
+  EXPECT_GT(buffered.stats.degraded_sends, 0u);
+  int clean = 0;
+  for (const auto& [status, body] : buffered.replies) {
+    if (status == 200 && body.rfind("echo:/object-", 0) == 0) ++clean;
+  }
+  EXPECT_GT(clean, 0);
+
+  for (const EntryPoint entry :
+       {EntryPoint::SendStreaming, EntryPoint::SendAsync}) {
+    SCOPED_TRACE(entry == EntryPoint::SendStreaming ? "send_streaming"
+                                                    : "send_async");
+    const PlanRun other = run_seeded_plan(entry);
+    EXPECT_EQ(other.replies, buffered.replies);
+    EXPECT_EQ(other.stalls, buffered.stalls);
+    EXPECT_EQ(stats_fields(other.stats), stats_fields(buffered.stats));
+  }
 }
 
 /// A single-AD idICN deployment whose proxy sends through a FaultInjector.

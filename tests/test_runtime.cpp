@@ -8,6 +8,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,20 @@ TEST(TimerWheel, ZeroDelayFiresWithinOneTick) {
   wheel.advance_to(5);  // clock has not moved: nothing fires
   EXPECT_EQ(fired, 0);
   wheel.advance_to(10);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerWheel, ZeroDelayOnATickBoundaryFiresWithinOneTick) {
+  // Regression: scheduled exactly on a boundary (as a timer callback that
+  // fired there re-arms with no delay), the timer landed in the current
+  // bucket and waited a full revolution — 320 ms on this wheel, 5.12 s on
+  // an EventLoop's.
+  TimerWheel wheel(10, 32, 10);
+  int fired = 0;
+  wheel.schedule(0, [&] { ++fired; });
+  wheel.advance_to(19);
+  EXPECT_EQ(fired, 0);
+  wheel.advance_to(20);
   EXPECT_EQ(fired, 1);
 }
 
@@ -520,23 +535,125 @@ TEST(HttpClient, ConnectFailureReportsError) {
 
 // ---------------------------------------------------------------------------
 // SocketNet as a net::Transport
+//
+// The envelope tests hold both forms of call to one set of expectations:
+// each runs its body once per SendForm.
+
+enum class SendForm {
+  Blocking,  ///< send(): SocketNet pumps a loop it lends to the caller
+  Loop,      ///< send_async() pumped on a caller-owned EventLoop
+};
+constexpr SendForm kSendForms[] = {SendForm::Blocking, SendForm::Loop};
+
+const char* name_of(SendForm form) {
+  return form == SendForm::Blocking ? "blocking send" : "send_async on a loop";
+}
+
+/// One buffered send to `to` in `form`. `loop` is the Loop form's executor;
+/// declare it before `socket_net` so it outlives the connections pooled
+/// for it.
+net::HttpResponse send_via(SendForm form, SocketNet& socket_net,
+                           EventLoop& loop, const net::Address& to,
+                           const net::HttpRequest& request) {
+  if (form == SendForm::Blocking) return socket_net.send("caller", to, request);
+  std::optional<net::HttpResponse> response;
+  socket_net.send_async("caller", to, request, &loop,
+                        [&response](net::HttpResponse r) {
+                          response = std::move(r);
+                        });
+  while (!response) loop.run_once(10);
+  return std::move(*response);
+}
 
 TEST(SocketNet, SendRoundTripsAndPoolsConnections) {
-  EchoHost host;
+  for (const SendForm form : kSendForms) {
+    SCOPED_TRACE(name_of(form));
+    EchoHost host;
+    HostServer server(&host, "echo.svc");
+    server.start();
+
+    EventLoop loop;
+    SocketNet socket_net;
+    socket_net.register_endpoint(server);
+    net::HttpRequest request;
+    request.target = "/x";
+    for (int i = 0; i < 5; ++i) {
+      const auto response =
+          send_via(form, socket_net, loop, "echo.svc", request);
+      EXPECT_EQ(response.status, 200);
+      EXPECT_EQ(response.body, "echo:/x");
+    }
+    EXPECT_EQ(socket_net.stats().requests_sent, 5u);
+    EXPECT_EQ(socket_net.stats().connections_opened, 1u);  // pooled + keep-alive
+    server.stop();
+  }
+}
+
+/// Answers every request with its own body.
+class BodyEchoHost : public net::SimHost {
+public:
+  net::HttpResponse handle_http(const net::HttpRequest& request,
+                                const net::Address& /*from*/) override {
+    return net::make_response(200, request.body);
+  }
+};
+
+TEST(SocketNet, ConcurrentBlockingSendsEachGetTheirOwnReply) {
+  // Each blocking sender borrows a loop of its own, and each lent loop
+  // keeps its own keep-alive pool: replies never cross between senders,
+  // and no loop dials twice unless its pooled connection went stale.
+  BodyEchoHost host;
   HostServer server(&host, "echo.svc");
   server.start();
+  SocketNet socket_net;
+  socket_net.register_endpoint(server);
+  constexpr int kThreads = 8;
+  constexpr int kSends = 50;
+  std::atomic<int> crossed{0};
+  {
+    std::vector<core::sync::Thread> senders;
+    for (int t = 0; t < kThreads; ++t) {
+      senders.emplace_back([&socket_net, &crossed, t] {
+        for (int i = 0; i < kSends; ++i) {
+          net::HttpRequest request;
+          request.method = "POST";
+          request.body = "sender " + std::to_string(t) + " send " +
+                         std::to_string(i);
+          const auto response = socket_net.send("caller", "echo.svc", request);
+          if (response.status != 200 || response.body != request.body) {
+            ++crossed;
+          }
+        }
+      });
+    }
+  }  // joins every sender
+  EXPECT_EQ(crossed.load(), 0);
+  const SocketNet::Stats stats = socket_net.stats();
+  EXPECT_EQ(stats.requests_sent, std::uint64_t{kThreads * kSends});
+  EXPECT_LE(stats.connections_opened, kThreads + stats.stale_pool_drops);
+  EXPECT_EQ(stats.send_failures, 0u);
+  server.stop();
+}
 
+TEST(SocketNet, BlockingSendInsideRunOnLoopCompletes) {
+  // A host publishing from its own loop thread (the shape of a benchmark
+  // publish): the blocking send pumps a lent loop, not the one it runs on.
+  EchoHost host, publisher;
+  HostServer server(&host, "echo.svc");
+  HostServer publisher_server(&publisher, "publisher.svc");
+  server.start();
+  publisher_server.start();
   SocketNet socket_net;
   socket_net.register_endpoint(server);
   net::HttpRequest request;
-  request.target = "/x";
-  for (int i = 0; i < 5; ++i) {
-    const auto response = socket_net.send("caller", "echo.svc", request);
-    EXPECT_EQ(response.status, 200);
-    EXPECT_EQ(response.body, "echo:/x");
-  }
-  EXPECT_EQ(socket_net.stats().requests_sent, 5u);
-  EXPECT_EQ(socket_net.stats().connections_opened, 1u);  // pooled + keep-alive
+  request.target = "/from-a-loop";
+  net::HttpResponse response;
+  publisher_server.run_on_loop([&] {
+    response = socket_net.send("publisher.svc", "echo.svc", request);
+  });
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "echo:/from-a-loop");
+  publisher_server.stop();
   server.stop();
 }
 
@@ -549,7 +666,9 @@ TEST(SocketNet, UnknownDestinationIs504) {
 }
 
 TEST(SocketNet, DeadEndpointIs504) {
-  SocketNet socket_net(HttpClient::Options{200, 200});
+  SocketNet::Options options;
+  options.client = {200, 200};
+  SocketNet socket_net(options);
   socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
   net::HttpRequest request;
   const auto response = socket_net.send("a", "dead.svc", request);
@@ -672,106 +791,127 @@ TEST(SocketNet, StalePooledConnectionIsDetectedAndRedialed) {
   // Regression: the server drops idle keep-alive connections; the pooled
   // client's fd is dead by the second send. The borrow-time probe must
   // discard it and dial fresh — not surface a spurious failure.
-  EchoHost host;
-  HostServer::Options server_options;
-  server_options.idle_timeout_ms = 50;
-  HostServer server(&host, "svc", server_options);
-  server.start();
-  SocketNet::Options options;
-  options.enable_retries = false;  // isolate the probe from the retry layer
-  SocketNet socket_net(options);
-  socket_net.register_endpoint(server);
+  for (const SendForm form : kSendForms) {
+    SCOPED_TRACE(name_of(form));
+    EchoHost host;
+    HostServer::Options server_options;
+    server_options.idle_timeout_ms = 50;
+    HostServer server(&host, "svc", server_options);
+    server.start();
+    EventLoop loop;
+    SocketNet::Options options;
+    options.enable_retries = false;  // isolate the probe from the retry layer
+    SocketNet socket_net(options);
+    socket_net.register_endpoint(server);
 
-  net::HttpRequest request;
-  request.target = "/one";
-  ASSERT_EQ(socket_net.send("a", "svc", request).status, 200);
-  // Let the server idle the pooled connection out (50 ms timeout, 10 ms
-  // timer ticks — 300 ms is far past it).
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  request.target = "/two";
-  const auto response = socket_net.send("a", "svc", request);
-  EXPECT_EQ(response.status, 200);
-  EXPECT_EQ(response.body, "echo:/two");
-  EXPECT_EQ(socket_net.stats().stale_pool_drops, 1u);
-  EXPECT_EQ(socket_net.stats().connections_opened, 2u);
-  EXPECT_EQ(socket_net.stats().send_failures, 0u);
-  server.stop();
+    net::HttpRequest request;
+    request.target = "/one";
+    ASSERT_EQ(send_via(form, socket_net, loop, "svc", request).status, 200);
+    // Let the server idle the pooled connection out (50 ms timeout, 10 ms
+    // timer ticks — 300 ms is far past it).
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    request.target = "/two";
+    const auto response = send_via(form, socket_net, loop, "svc", request);
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.body, "echo:/two");
+    EXPECT_EQ(socket_net.stats().stale_pool_drops, 1u);
+    EXPECT_EQ(socket_net.stats().connections_opened, 2u);
+    EXPECT_EQ(socket_net.stats().send_failures, 0u);
+    server.stop();
+  }
 }
 
 TEST(SocketNet, TransportFailuresAreRetriedWithBackoff) {
-  SocketNet::Options options;
-  options.client.connect_timeout_ms = 100;
-  options.enable_breakers = false;  // isolate the retry layer
-  options.retry.max_attempts = 3;
-  options.retry.base_delay_ms = 1;
-  options.retry.max_delay_ms = 4;
-  SocketNet socket_net(options);
-  socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
+  for (const SendForm form : kSendForms) {
+    SCOPED_TRACE(name_of(form));
+    EventLoop loop;
+    SocketNet::Options options;
+    options.client.connect_timeout_ms = 100;
+    options.enable_breakers = false;  // isolate the retry layer
+    options.retry.max_attempts = 3;
+    options.retry.base_delay_ms = 1;
+    options.retry.max_delay_ms = 4;
+    SocketNet socket_net(options);
+    socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
 
-  EXPECT_EQ(socket_net.send("a", "dead.svc", net::HttpRequest{}).status, 504);
-  EXPECT_EQ(socket_net.stats().retries, 2u);  // 3 attempts = 2 retries
-  EXPECT_EQ(socket_net.stats().send_failures, 1u);  // one failure per send
+    EXPECT_EQ(send_via(form, socket_net, loop, "dead.svc", {}).status, 504);
+    EXPECT_EQ(socket_net.stats().retries, 2u);  // 3 attempts = 2 retries
+    EXPECT_EQ(socket_net.stats().send_failures, 1u);  // one failure per send
+  }
 }
 
 TEST(SocketNet, UnknownDestinationIsNeverRetried) {
-  SocketNet::Options options;
-  options.retry.max_attempts = 5;
-  SocketNet socket_net(options);
-  EXPECT_EQ(socket_net.send("a", "no.such.host", net::HttpRequest{}).status,
-            504);
-  EXPECT_EQ(socket_net.stats().retries, 0u);  // config error ≠ upstream fault
-  EXPECT_EQ(socket_net.breaker_state("no.such.host"),
-            CircuitBreaker::State::Closed);
+  for (const SendForm form : kSendForms) {
+    SCOPED_TRACE(name_of(form));
+    EventLoop loop;
+    SocketNet::Options options;
+    options.retry.max_attempts = 5;
+    SocketNet socket_net(options);
+    EXPECT_EQ(send_via(form, socket_net, loop, "no.such.host", {}).status,
+              504);
+    EXPECT_EQ(socket_net.stats().retries, 0u);  // config error ≠ upstream fault
+    EXPECT_EQ(socket_net.breaker_state("no.such.host"),
+              CircuitBreaker::State::Closed);
+  }
 }
 
 TEST(SocketNet, BreakerOpensAndFastFailsWithRetryAfter) {
-  SocketNet::Options options;
-  options.client.connect_timeout_ms = 100;
-  options.enable_retries = false;
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_ms = 30'000;  // stays open for the whole test
-  SocketNet socket_net(options);
-  socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
+  for (const SendForm form : kSendForms) {
+    SCOPED_TRACE(name_of(form));
+    EventLoop loop;
+    SocketNet::Options options;
+    options.client.connect_timeout_ms = 100;
+    options.enable_retries = false;
+    options.breaker.failure_threshold = 2;
+    options.breaker.open_ms = 30'000;  // stays open for the whole test
+    SocketNet socket_net(options);
+    socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
 
-  EXPECT_EQ(socket_net.send("a", "dead.svc", net::HttpRequest{}).status, 504);
-  EXPECT_EQ(socket_net.send("a", "dead.svc", net::HttpRequest{}).status, 504);
-  EXPECT_EQ(socket_net.breaker_state("dead.svc"), CircuitBreaker::State::Open);
+    EXPECT_EQ(send_via(form, socket_net, loop, "dead.svc", {}).status, 504);
+    EXPECT_EQ(send_via(form, socket_net, loop, "dead.svc", {}).status, 504);
+    EXPECT_EQ(socket_net.breaker_state("dead.svc"),
+              CircuitBreaker::State::Open);
 
-  const auto fast_fail = socket_net.send("a", "dead.svc", net::HttpRequest{});
-  EXPECT_EQ(fast_fail.status, 503);
-  ASSERT_TRUE(fast_fail.headers.get("Retry-After").has_value());
-  EXPECT_EQ(*fast_fail.headers.get("Retry-After"), "30");
-  EXPECT_EQ(socket_net.stats().breaker_fast_fails, 1u);
+    const auto fast_fail = send_via(form, socket_net, loop, "dead.svc", {});
+    EXPECT_EQ(fast_fail.status, 503);
+    ASSERT_TRUE(fast_fail.headers.get("Retry-After").has_value());
+    EXPECT_EQ(*fast_fail.headers.get("Retry-After"), "30");
+    EXPECT_EQ(socket_net.stats().breaker_fast_fails, 1u);
+  }
 }
 
 TEST(SocketNet, BreakerHalfOpensProbesAndRecloses) {
-  SocketNet::Options options;
-  options.client.connect_timeout_ms = 100;
-  options.enable_retries = false;
-  options.breaker.failure_threshold = 1;
-  options.breaker.open_ms = 100;
-  SocketNet socket_net(options);
-  // The destination starts dead…
-  socket_net.register_endpoint("flappy.svc", "127.0.0.1", 1);
-  EXPECT_EQ(socket_net.send("a", "flappy.svc", net::HttpRequest{}).status, 504);
-  EXPECT_EQ(socket_net.breaker_state("flappy.svc"),
-            CircuitBreaker::State::Open);
+  for (const SendForm form : kSendForms) {
+    SCOPED_TRACE(name_of(form));
+    EventLoop loop;
+    SocketNet::Options options;
+    options.client.connect_timeout_ms = 100;
+    options.enable_retries = false;
+    options.breaker.failure_threshold = 1;
+    options.breaker.open_ms = 100;
+    SocketNet socket_net(options);
+    // The destination starts dead…
+    socket_net.register_endpoint("flappy.svc", "127.0.0.1", 1);
+    EXPECT_EQ(send_via(form, socket_net, loop, "flappy.svc", {}).status, 504);
+    EXPECT_EQ(socket_net.breaker_state("flappy.svc"),
+              CircuitBreaker::State::Open);
 
-  // …then recovers at the same address (new port; re-registering keeps the
-  // breaker history, as a real recovery would).
-  EchoHost host;
-  HostServer server(&host, "flappy.svc");
-  server.start();
-  socket_net.register_endpoint(server);
+    // …then recovers at the same address (new port; re-registering keeps
+    // the breaker history, as a real recovery would).
+    EchoHost host;
+    HostServer server(&host, "flappy.svc");
+    server.start();
+    socket_net.register_endpoint(server);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_EQ(socket_net.breaker_state("flappy.svc"),
-            CircuitBreaker::State::HalfOpen);
-  // The next send is the probe; its success re-closes the breaker.
-  EXPECT_EQ(socket_net.send("a", "flappy.svc", net::HttpRequest{}).status, 200);
-  EXPECT_EQ(socket_net.breaker_state("flappy.svc"),
-            CircuitBreaker::State::Closed);
-  server.stop();
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    EXPECT_EQ(socket_net.breaker_state("flappy.svc"),
+              CircuitBreaker::State::HalfOpen);
+    // The next send is the probe; its success re-closes the breaker.
+    EXPECT_EQ(send_via(form, socket_net, loop, "flappy.svc", {}).status, 200);
+    EXPECT_EQ(socket_net.breaker_state("flappy.svc"),
+              CircuitBreaker::State::Closed);
+    server.stop();
+  }
 }
 
 /// Refuses every head, as MultiSourceFetcher does for a hedge attempt that
@@ -789,7 +929,7 @@ public:
 TEST(SocketNet, SinkRefusalsFromALiveServerKeepTheBreakerClosed) {
   // Regression: a caller's sink refusing heads used to count as transport
   // failures, so `failure_threshold` hedge losers in a row fast-failed a
-  // healthy replica. Both envelopes, blocking and loop-native, refuse
+  // healthy replica. Both forms of call, blocking and loop-native, refuse
   // twice the threshold here.
   EchoHost host;
   HostServer server(&host, "live.svc");
@@ -840,22 +980,26 @@ TEST(SocketNet, SinkRefusalsFromALiveServerKeepTheBreakerClosed) {
 }
 
 TEST(SocketNet, RetryBudgetShedsRetriesUnderSustainedFailure) {
-  SocketNet::Options options;
-  options.client.connect_timeout_ms = 100;
-  options.enable_breakers = false;
-  options.retry.max_attempts = 3;
-  options.retry.base_delay_ms = 1;
-  options.retry.max_delay_ms = 2;
-  options.budget.initial_tokens = 3.0;  // three retries, then dry
-  options.budget.tokens_per_request = 0.0;
-  SocketNet socket_net(options);
-  socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
+  for (const SendForm form : kSendForms) {
+    SCOPED_TRACE(name_of(form));
+    EventLoop loop;
+    SocketNet::Options options;
+    options.client.connect_timeout_ms = 100;
+    options.enable_breakers = false;
+    options.retry.max_attempts = 3;
+    options.retry.base_delay_ms = 1;
+    options.retry.max_delay_ms = 2;
+    options.budget.initial_tokens = 3.0;  // three retries, then dry
+    options.budget.tokens_per_request = 0.0;
+    SocketNet socket_net(options);
+    socket_net.register_endpoint("dead.svc", "127.0.0.1", 1);
 
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(socket_net.send("a", "dead.svc", net::HttpRequest{}).status, 504);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(send_via(form, socket_net, loop, "dead.svc", {}).status, 504);
+    }
+    // 5 sends × 2 possible retries each = 10 wanted; the budget allowed 3.
+    EXPECT_EQ(socket_net.stats().retries, 3u);
   }
-  // 5 sends × 2 possible retries each = 10 wanted; the budget allowed 3.
-  EXPECT_EQ(socket_net.stats().retries, 3u);
 }
 
 }  // namespace

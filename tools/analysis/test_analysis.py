@@ -359,7 +359,6 @@ class FullTreeTest(unittest.TestCase):
         hot = {f.name for f in graph.functions.values() if f.hot_path}
         self.assertIn("idicn::net::HttpDecoder::feed", hot)
         self.assertIn("idicn::idicn::Proxy::serve_entry", hot)
-        self.assertIn("idicn::cache::ShardedCache::lookup", hot)
         loop = {f.name for f in graph.functions.values() if f.loop_root}
         self.assertTrue(any(n.endswith("::flush") for n in loop))
 

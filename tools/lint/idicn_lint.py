@@ -114,8 +114,7 @@ RAW_BACKOFF_ALLOWED = {
 
 # Multi-source fetch policy files: time is injected (now_ms / explicit
 # now arguments) and timers arm only via Executor::schedule on the
-# owning loop's TimerWheel. retry.cpp is deliberately absent — its
-# RetryPolicy::sleep is the documented off-loop blocking wait.
+# owning loop's TimerWheel.
 HEDGE_TIMER_FILES = {
     Path("src/runtime/multi_source_fetcher.hpp"),
     Path("src/runtime/multi_source_fetcher.cpp"),
@@ -232,7 +231,7 @@ def check_file(rel: Path, text: str,
             report(i, "raw-backoff",
                    "raw sleep in library code; all retry backoff goes "
                    "through runtime::RetryPolicy (jitter, deadlines, "
-                   "token budget) — see RetryPolicy::sleep")
+                   "token budget) — see RetryPolicy::schedule_backoff")
         if rel in HEDGE_TIMER_FILES and RAW_CLOCK.search(line):
             report(i, "hedge-timer",
                    "raw clock/OS-timer in fetch policy code; hedging and "

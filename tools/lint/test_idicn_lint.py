@@ -38,7 +38,7 @@ class RawPrimitiveTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
     def test_sync_include_flagged(self):
-        findings = check_file(Path("src/cache/sharded_cache.cpp"),
+        findings = check_file(Path("src/cache/lru_cache.cpp"),
                               "#include <condition_variable>\n")
         self.assertEqual(rules_of(findings), ["raw-sync"])
 
@@ -144,9 +144,9 @@ class HedgeTimerTest(unittest.TestCase):
                               "const auto t0 = std::chrono::steady_clock::now();\n")
         self.assertNotIn("hedge-timer", rules_of(findings))
 
-    def test_retry_sleep_keeps_its_off_loop_seat(self):
-        # retry.cpp's RetryPolicy::sleep is the documented off-loop wait;
-        # the hedge-timer rule must not claim it.
+    def test_retry_is_outside_the_policy_files(self):
+        # retry.cpp is not a fetch-policy file; the hedge-timer rule must
+        # not claim it.
         findings = check_file(Path("src/runtime/retry.cpp"),
                               "deadline - std::chrono::steady_clock::now();\n")
         self.assertNotIn("hedge-timer", rules_of(findings))
