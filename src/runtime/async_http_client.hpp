@@ -7,10 +7,9 @@
 // returns immediately, the transfer proceeds via fd readiness callbacks on
 // the owning executor, and the completion (plus any streaming sink
 // callbacks) fires on the loop thread. A send that must complete before
-// returning runs it on a loop SocketNet lends to the calling thread.
-// Error strings, the reconnect-once keep-alive race handling, the
-// stale-connection probe, and Connection: close handling mirror the
-// blocking HttpClient (kept for tests, benches and the trace driver).
+// returning runs it on a loop SocketNet lends to the calling thread. The
+// blocking HttpClient (tests, benches, the trace driver) is this client on
+// a loop of its own.
 //
 // Ownership: an AsyncHttpClient is confined to its executor's loop thread.
 // The `role_` thread role is the static ownership domain — every mutating
@@ -86,9 +85,8 @@ public:
   [[nodiscard]] bool connected() const noexcept { return fd_.valid(); }
   /// No ops in flight (the pool's precondition for parking/borrowing).
   [[nodiscard]] bool idle() const noexcept { return pending_ops_ == 0; }
-  /// Same MSG_PEEK probe as HttpClient::stale_connection: a kept-alive
-  /// connection with a pending FIN, error, or unsolicited bytes must be
-  /// redialed, not reused.
+  /// MSG_PEEK probe: a kept-alive connection with a pending FIN, error, or
+  /// unsolicited bytes must be redialed, not reused.
   [[nodiscard]] bool stale_connection() const noexcept;
 
   [[nodiscard]] std::uint64_t requests_sent() const noexcept {

@@ -9,10 +9,7 @@
 
 namespace idicn::runtime {
 
-EventLoop::EventLoop(PollerBackend backend) : poller_(make_poller(backend)) {
-  if (poller_ == nullptr) {
-    throw std::runtime_error("EventLoop: requested poller backend unavailable");
-  }
+EventLoop::EventLoop() {
   int fds[2];
   if (::pipe(fds) != 0) throw std::runtime_error("EventLoop: pipe failed");
   wake_read_fd_ = fds[0];
@@ -35,7 +32,7 @@ EventLoop::~EventLoop() {
 bool EventLoop::watch(int fd, bool want_read, bool want_write, IoHandler handler) {
   assert_on_loop_thread();
   if (handlers_.count(fd) != 0) return false;
-  if (!poller_->add(fd, want_read, want_write)) return false;
+  if (!poller_.add(fd, want_read, want_write)) return false;
   handlers_[fd] = std::make_shared<IoHandler>(std::move(handler));
   return true;
 }
@@ -43,12 +40,12 @@ bool EventLoop::watch(int fd, bool want_read, bool want_write, IoHandler handler
 bool EventLoop::update(int fd, bool want_read, bool want_write) {
   assert_on_loop_thread();
   if (handlers_.count(fd) == 0) return false;
-  return poller_->modify(fd, want_read, want_write);
+  return poller_.modify(fd, want_read, want_write);
 }
 
 void EventLoop::unwatch(int fd) {
   assert_on_loop_thread();
-  if (handlers_.erase(fd) != 0) poller_->remove(fd);
+  if (handlers_.erase(fd) != 0) poller_.remove(fd);
 }
 
 TimerWheel::TimerId EventLoop::add_timer(std::uint64_t delay_ms,
@@ -109,7 +106,7 @@ int EventLoop::next_timeout_ms(int cap_ms) const {
 void EventLoop::run_once(int timeout_ms) {
   assert_on_loop_thread();
   ready_.clear();
-  poller_->wait(next_timeout_ms(timeout_ms), ready_);
+  poller_.wait(next_timeout_ms(timeout_ms), ready_);
   // Look handlers up per event: an earlier handler in this batch may have
   // unwatched a later fd, in which case its event must be dropped.
   for (const Ready& event : ready_) {

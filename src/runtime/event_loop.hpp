@@ -1,5 +1,5 @@
-// Single-threaded event loop: readiness dispatch (epoll or poll backend) +
-// timer wheel + cross-thread task posting via a self-pipe.
+// Single-threaded event loop: epoll readiness dispatch + timer wheel +
+// cross-thread task posting via a self-pipe.
 //
 // One EventLoop per worker thread; all watch/update/unwatch/add_timer
 // calls must come from the loop thread (or while the loop is not running,
@@ -36,7 +36,7 @@ class EventLoop : public net::Executor {
   /// the fd failed — the handler should unwatch and close.
   using IoHandler = std::function<void(bool readable, bool writable, bool error)>;
 
-  explicit EventLoop(PollerBackend backend = PollerBackend::Auto);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -76,7 +76,6 @@ class EventLoop : public net::Executor {
 
   /// Milliseconds on the steady clock (process-relative).
   [[nodiscard]] std::uint64_t now_ms() const;
-  [[nodiscard]] const char* backend_name() const { return poller_->name(); }
 
   // --- net::Executor (thin adapters; loop thread only, like the methods
   // they forward to) -----------------------------------------------------
@@ -104,10 +103,7 @@ class EventLoop : public net::Executor {
   /// loop-thread-only entry point.
   core::sync::ThreadRole loop_role_;
 
-  /// Set by the constructor, never reseated; mutating Poller calls (add/
-  /// modify/remove/wait) happen on the loop thread only, name() is
-  /// immutable and may be read from anywhere.
-  std::unique_ptr<Poller> poller_;
+  Poller poller_ IDICN_GUARDED_BY(loop_role_);
   TimerWheel timers_ IDICN_GUARDED_BY(loop_role_);
   std::unordered_map<int, std::shared_ptr<IoHandler>> handlers_
       IDICN_GUARDED_BY(loop_role_);

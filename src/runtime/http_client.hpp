@@ -1,30 +1,33 @@
-// Blocking HTTP/1.1 client for one endpoint: keep-alive connection reuse,
-// incremental response decoding, send/receive timeouts. This is the
-// caller-side counterpart of HostServer for code that is no idICN host —
-// tests, benches and the testbed's trace driver speak through it; hosts
-// reach their peers through SocketNet.
+// Blocking HTTP/1.1 client for one endpoint: an AsyncHttpClient on an
+// EventLoop this client owns, pumped on the calling thread until each
+// request completes. Keep-alive reuse, the reconnect-once keep-alive race,
+// Connection: close and the connect/receive deadlines are all
+// AsyncHttpClient's. This is the caller-side counterpart of HostServer for
+// code that is no idICN host — tests, benches and the testbed's trace
+// driver speak through it; hosts reach their peers through SocketNet.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
-#include "net/http_decoder.hpp"
 #include "net/http_message.hpp"
 #include "net/transport.hpp"
-#include "runtime/tcp.hpp"
+#include "runtime/async_http_client.hpp"
+#include "runtime/event_loop.hpp"
 
 namespace idicn::runtime {
 
 class HttpClient {
 public:
-  struct Options {
-    int connect_timeout_ms = 5'000;
-    int io_timeout_ms = 10'000;
-  };
+  using Options = AsyncHttpClient::Options;
 
-  HttpClient(std::string host, std::uint16_t port);
-  HttpClient(std::string host, std::uint16_t port, Options options);
+  HttpClient(std::string host, std::uint16_t port, Options options = {});
+  ~HttpClient();
+
+  HttpClient(const HttpClient&) = delete;
+  HttpClient& operator=(const HttpClient&) = delete;
 
   /// One round trip. Reconnects transparently (once) when a reused
   /// keep-alive connection turns out to be dead — the standard race with a
@@ -47,41 +50,16 @@ public:
       const net::HttpRequest& request, net::ChunkSink& sink,
       std::string* error = nullptr);
 
-  [[nodiscard]] bool connected() const noexcept { return fd_.valid(); }
-
-  /// True when a kept-alive connection is no longer safely reusable: the
-  /// peer closed it (EOF pending), it errored, or unsolicited bytes arrived
-  /// while it sat idle (e.g. a server deadline response raced our reuse —
-  /// those bytes would otherwise decode as the answer to the *next*
-  /// request). A disconnected client is not stale: it dials fresh.
-  [[nodiscard]] bool stale_connection() const noexcept;
-
-  void close();
-
-  [[nodiscard]] std::uint64_t requests_sent() const noexcept { return requests_sent_; }
-  [[nodiscard]] const std::string& host() const noexcept { return host_; }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] bool connected() const noexcept { return client_.connected(); }
 
 private:
-  bool ensure_connected(std::string* error);
-  /// Write the full buffer; false on error/timeout.
-  bool write_all(const std::string& bytes, std::string* error);
-  /// Read until one response decodes; nullopt on error/timeout/EOF.
-  std::optional<net::HttpResponse> read_response(std::string* error);
-  std::optional<net::HttpResponse> round_trip(const std::string& wire,
-                                              std::string* error);
+  /// Issue on client_ and pump loop_ until the completion fires.
+  std::optional<net::HttpResponse> round_trip(
+      const net::HttpRequest& request, std::shared_ptr<net::ChunkSink> sink,
+      std::string* error);
 
-  std::string host_;
-  std::uint16_t port_;
-  Options options_;
-  ScopedFd fd_;
-  net::HttpDecoder decoder_{net::HttpDecoder::Mode::Response};
-  std::uint64_t requests_sent_ = 0;
+  EventLoop loop_;  ///< declared first: client_ unwatches its fd here
+  AsyncHttpClient client_;
 };
-
-// Out of line: Options' default member initializers only become usable once
-// the enclosing class is complete.
-inline HttpClient::HttpClient(std::string host, std::uint16_t port)
-    : HttpClient(std::move(host), port, Options{}) {}
 
 }  // namespace idicn::runtime

@@ -1,145 +1,55 @@
 #include "runtime/poller.hpp"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <unordered_map>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define IDICN_HAVE_EPOLL 1
-#endif
+#include <stdexcept>
 
 namespace idicn::runtime {
 namespace {
 
-#if defined(IDICN_HAVE_EPOLL)
-
-class EpollPoller final : public Poller {
-public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  [[nodiscard]] bool ok() const { return epfd_ >= 0; }
-
-  bool add(int fd, bool want_read, bool want_write) override {
-    epoll_event ev = make_event(fd, want_read, want_write);
-    return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-  }
-
-  bool modify(int fd, bool want_read, bool want_write) override {
-    epoll_event ev = make_event(fd, want_read, want_write);
-    return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-
-  void remove(int fd) override { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
-
-  int wait(int timeout_ms, std::vector<Ready>& out) override {
-    epoll_event events[128];
-    const int n = ::epoll_wait(epfd_, events, 128, timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    for (int i = 0; i < n; ++i) {
-      Ready ready;
-      ready.fd = events[i].data.fd;
-      ready.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ready.writable = (events[i].events & EPOLLOUT) != 0;
-      ready.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(ready);
-    }
-    return n;
-  }
-
-  [[nodiscard]] const char* name() const override { return "epoll"; }
-
-private:
-  static epoll_event make_event(int fd, bool want_read, bool want_write) {
-    epoll_event ev{};
-    ev.data.fd = fd;
-    if (want_read) ev.events |= EPOLLIN;
-    if (want_write) ev.events |= EPOLLOUT;
-    return ev;
-  }
-
-  int epfd_ = -1;
-};
-
-#endif  // IDICN_HAVE_EPOLL
-
-class PollPoller final : public Poller {
-public:
-  bool add(int fd, bool want_read, bool want_write) override {
-    if (index_.count(fd) != 0) return false;
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, events_mask(want_read, want_write), 0});
-    return true;
-  }
-
-  bool modify(int fd, bool want_read, bool want_write) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return false;
-    fds_[it->second].events = events_mask(want_read, want_write);
-    return true;
-  }
-
-  void remove(int fd) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t at = it->second;
-    index_.erase(it);
-    if (at + 1 != fds_.size()) {
-      fds_[at] = fds_.back();
-      index_[fds_[at].fd] = at;
-    }
-    fds_.pop_back();
-  }
-
-  int wait(int timeout_ms, std::vector<Ready>& out) override {
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    int appended = 0;
-    for (const pollfd& pfd : fds_) {
-      if (pfd.revents == 0) continue;
-      Ready ready;
-      ready.fd = pfd.fd;
-      ready.readable = (pfd.revents & (POLLIN | POLLHUP)) != 0;
-      ready.writable = (pfd.revents & POLLOUT) != 0;
-      ready.error = (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(ready);
-      if (++appended == n) break;
-    }
-    return appended;
-  }
-
-  [[nodiscard]] const char* name() const override { return "poll"; }
-
-private:
-  static short events_mask(bool want_read, bool want_write) {
-    short mask = 0;
-    if (want_read) mask |= POLLIN;
-    if (want_write) mask |= POLLOUT;
-    return mask;
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-};
+epoll_event make_event(int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.data.fd = fd;
+  if (want_read) ev.events |= EPOLLIN;
+  if (want_write) ev.events |= EPOLLOUT;
+  return ev;
+}
 
 }  // namespace
 
-std::unique_ptr<Poller> make_poller(PollerBackend backend) {
-#if defined(IDICN_HAVE_EPOLL)
-  if (backend == PollerBackend::Auto || backend == PollerBackend::Epoll) {
-    auto poller = std::make_unique<EpollPoller>();
-    if (poller->ok()) return poller;
-    if (backend == PollerBackend::Epoll) return nullptr;
+Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (epfd_ < 0) throw std::runtime_error("Poller: epoll_create1 failed");
+}
+
+Poller::~Poller() { ::close(epfd_); }
+
+bool Poller::add(int fd, bool want_read, bool want_write) {
+  epoll_event ev = make_event(fd, want_read, want_write);
+  return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+bool Poller::modify(int fd, bool want_read, bool want_write) {
+  epoll_event ev = make_event(fd, want_read, want_write);
+  return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
+}
+
+void Poller::remove(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
+
+int Poller::wait(int timeout_ms, std::vector<Ready>& out) {
+  epoll_event events[128];
+  const int n = ::epoll_wait(epfd_, events, 128, timeout_ms);
+  if (n < 0) return errno == EINTR ? 0 : -1;
+  for (int i = 0; i < n; ++i) {
+    Ready ready;
+    ready.fd = events[i].data.fd;
+    ready.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
+    ready.writable = (events[i].events & EPOLLOUT) != 0;
+    ready.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    out.push_back(ready);
   }
-#else
-  if (backend == PollerBackend::Epoll) return nullptr;
-#endif
-  return std::make_unique<PollPoller>();
+  return n;
 }
 
 }  // namespace idicn::runtime

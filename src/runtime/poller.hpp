@@ -1,12 +1,8 @@
-// Readiness notification backends for the event loop.
-//
-// Linux builds get an epoll(7) backend (level-triggered, one syscall per
-// wait regardless of fd count); every POSIX build gets a poll(2) fallback.
-// make_poller(Auto) prefers epoll when compiled in; tests pin Poll
-// explicitly so the fallback stays exercised on every platform.
+// Readiness notification for the event loop: epoll(7), level-triggered,
+// one syscall per wait regardless of fd count. The runtime is Linux-only
+// (it also relies on SO_REUSEPORT, MSG_NOSIGNAL and MSG_PEEK).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 namespace idicn::runtime {
@@ -21,23 +17,23 @@ struct Ready {
 
 class Poller {
 public:
-  virtual ~Poller() = default;
+  /// Throws std::runtime_error when epoll_create1 fails.
+  Poller();
+  ~Poller();
 
-  virtual bool add(int fd, bool want_read, bool want_write) = 0;
-  virtual bool modify(int fd, bool want_read, bool want_write) = 0;
-  virtual void remove(int fd) = 0;
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  bool add(int fd, bool want_read, bool want_write);
+  bool modify(int fd, bool want_read, bool want_write);
+  void remove(int fd);
 
   /// Block up to `timeout_ms` (-1 = forever, 0 = poll) and append ready
   /// fds to `out`. Returns the number appended, 0 on timeout, -1 on error.
-  virtual int wait(int timeout_ms, std::vector<Ready>& out) = 0;
+  int wait(int timeout_ms, std::vector<Ready>& out);
 
-  [[nodiscard]] virtual const char* name() const = 0;
+private:
+  int epfd_ = -1;
 };
-
-enum class PollerBackend { Auto, Epoll, Poll };
-
-/// Create a poller; Auto prefers epoll where available. Returns nullptr
-/// only when Epoll is requested explicitly on a platform without it.
-std::unique_ptr<Poller> make_poller(PollerBackend backend = PollerBackend::Auto);
 
 }  // namespace idicn::runtime

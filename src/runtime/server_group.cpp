@@ -109,7 +109,7 @@ class ServerWorker {
 
   void start() {
     loop_role_.assert_held();  // pre-start: the role is unbound
-    loop_ = std::make_unique<EventLoop>(options_.backend);
+    loop_ = std::make_unique<EventLoop>();
     if (listener_.valid()) {
       loop_->watch(listener_.get(), true, false,
                    [this](bool readable, bool, bool) {

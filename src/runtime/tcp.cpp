@@ -106,43 +106,21 @@ int listen_tcp(std::uint16_t port, std::uint16_t* bound_port, std::string* error
 
 int connect_tcp(const std::string& host, std::uint16_t port, int timeout_ms,
                 std::string* error) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) *error = "unsupported address (IPv4 literal expected): " + host;
-    return -1;
-  }
-
-  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) {
-    set_error(error, "socket");
-    return -1;
-  }
   // Connect non-blocking so the timeout is enforceable, then flip back.
-  if (!set_nonblocking(fd.get())) {
-    set_error(error, "fcntl");
+  ScopedFd fd(connect_tcp_nonblocking(host, port, error));
+  if (!fd.valid()) return -1;
+  pollfd pfd{fd.get(), POLLOUT, 0};
+  if (::poll(&pfd, 1, timeout_ms) <= 0) {
+    if (error != nullptr) *error = "connect timeout to " + host;
     return -1;
   }
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) {
-      set_error(error, "connect");
-      return -1;
+  int soerr = 0;
+  socklen_t len = sizeof(soerr);
+  if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 || soerr != 0) {
+    if (error != nullptr) {
+      *error = std::string("connect: ") + std::strerror(soerr != 0 ? soerr : errno);
     }
-    pollfd pfd{fd.get(), POLLOUT, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready <= 0) {
-      if (error != nullptr) *error = "connect timeout to " + host;
-      return -1;
-    }
-    int soerr = 0;
-    socklen_t len = sizeof(soerr);
-    if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 || soerr != 0) {
-      if (error != nullptr) {
-        *error = std::string("connect: ") + std::strerror(soerr != 0 ? soerr : errno);
-      }
-      return -1;
-    }
+    return -1;
   }
   const int flags = ::fcntl(fd.get(), F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd.get(), F_SETFL, flags & ~O_NONBLOCK) != 0) {

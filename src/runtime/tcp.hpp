@@ -1,7 +1,9 @@
-// Thin POSIX TCP helpers for the runtime: RAII fds, non-blocking setup,
-// loopback listeners with ephemeral-port support, and blocking connects
-// with timeouts. Everything returns errors by value — the runtime treats
-// socket failures as data, not exceptions.
+// Thin POSIX TCP helpers for the runtime: RAII fds (ScopedFd), non-blocking
+// setup, loopback listeners with ephemeral-port support (listen_tcp), and
+// the non-blocking connect every client dials with. The blocking connect
+// and set_io_timeout are helpers for tests that speak raw sockets.
+// Everything returns errors by value — the runtime treats socket failures
+// as data, not exceptions.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,7 @@ private:
 
 bool set_nonblocking(int fd);
 bool set_nodelay(int fd);
-/// SO_RCVTIMEO + SO_SNDTIMEO for blocking sockets.
+/// SO_RCVTIMEO + SO_SNDTIMEO for blocking sockets (tests).
 bool set_io_timeout(int fd, int timeout_ms);
 
 /// Extra listener behavior for listen_tcp().
@@ -60,8 +62,9 @@ struct ListenOptions {
 int listen_tcp(std::uint16_t port, std::uint16_t* bound_port, std::string* error,
                const ListenOptions& options = {});
 
-/// Blocking connect to `host`:`port` with a timeout; the returned fd is in
-/// blocking mode. -1 on failure (reason in `error` when non-null).
+/// Blocking connect to `host`:`port` with a timeout, for tests: a
+/// connect_tcp_nonblocking() waited out with poll(2), then switched back
+/// to blocking mode. -1 on failure (reason in `error` when non-null).
 int connect_tcp(const std::string& host, std::uint16_t port, int timeout_ms,
                 std::string* error);
 

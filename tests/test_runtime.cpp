@@ -1,4 +1,4 @@
-// Runtime building blocks: timer wheel, poller backends, event loop,
+// Runtime building blocks: timer wheel, poller, event loop,
 // HttpClient ↔ HostServer over real loopback TCP.
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -127,73 +128,53 @@ TEST(TimerWheel, ZeroDelayOnATickBoundaryFiresWithinOneTick) {
 }
 
 // ---------------------------------------------------------------------------
-// Poller backends
+// Poller
 
-class PollerBackends : public ::testing::TestWithParam<PollerBackend> {};
-
-TEST_P(PollerBackends, PipeReadiness) {
-  auto poller = make_poller(GetParam());
-  ASSERT_NE(poller, nullptr);
+TEST(Poller, PipeReadiness) {
+  Poller poller;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ScopedFd read_end(fds[0]), write_end(fds[1]);
-  ASSERT_TRUE(poller->add(read_end.get(), true, false));
+  ASSERT_TRUE(poller.add(read_end.get(), true, false));
 
   std::vector<Ready> ready;
-  EXPECT_EQ(poller->wait(0, ready), 0);  // nothing to read yet
+  EXPECT_EQ(poller.wait(0, ready), 0);  // nothing to read yet
 
   ASSERT_EQ(::write(write_end.get(), "x", 1), 1);
   ready.clear();
-  ASSERT_EQ(poller->wait(1000, ready), 1);
+  ASSERT_EQ(poller.wait(1000, ready), 1);
   EXPECT_EQ(ready[0].fd, read_end.get());
   EXPECT_TRUE(ready[0].readable);
 
-  poller->remove(read_end.get());
+  poller.remove(read_end.get());
   ready.clear();
-  EXPECT_EQ(poller->wait(0, ready), 0);
+  EXPECT_EQ(poller.wait(0, ready), 0);
 }
 
-TEST_P(PollerBackends, ModifySwitchesInterest) {
-  auto poller = make_poller(GetParam());
-  ASSERT_NE(poller, nullptr);
+TEST(Poller, ModifySwitchesInterest) {
+  Poller poller;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ScopedFd read_end(fds[0]), write_end(fds[1]);
   ASSERT_EQ(::write(write_end.get(), "x", 1), 1);
 
   // Watch for writability only: readable data must not surface.
-  ASSERT_TRUE(poller->add(read_end.get(), false, true));
+  ASSERT_TRUE(poller.add(read_end.get(), false, true));
   std::vector<Ready> ready;
-  (void)poller->wait(0, ready);
+  (void)poller.wait(0, ready);
   for (const auto& event : ready) EXPECT_FALSE(event.readable);
 
-  ASSERT_TRUE(poller->modify(read_end.get(), true, false));
+  ASSERT_TRUE(poller.modify(read_end.get(), true, false));
   ready.clear();
-  ASSERT_EQ(poller->wait(1000, ready), 1);
+  ASSERT_EQ(poller.wait(1000, ready), 1);
   EXPECT_TRUE(ready[0].readable);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, PollerBackends,
-                         ::testing::Values(PollerBackend::Auto,
-                                           PollerBackend::Poll),
-                         [](const auto& info) {
-                           return info.param == PollerBackend::Poll ? "Poll"
-                                                                    : "Auto";
-                         });
-
-#if defined(__linux__)
-TEST(Poller, EpollAvailableOnLinux) {
-  auto poller = make_poller(PollerBackend::Epoll);
-  ASSERT_NE(poller, nullptr);
-  EXPECT_STREQ(poller->name(), "epoll");
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // EventLoop
 
 TEST(EventLoop, TimerFiresAndStopsLoop) {
-  EventLoop loop(PollerBackend::Poll);
+  EventLoop loop;
   bool fired = false;
   loop.add_timer(20, [&] {
     fired = true;
@@ -275,7 +256,7 @@ TEST(EventLoopDeathTest, LoopOnlyMethodOffThreadAsserts) {
 #endif
 
 TEST(EventLoop, DispatchesPipeEvents) {
-  EventLoop loop(PollerBackend::Poll);
+  EventLoop loop;
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ScopedFd read_end(fds[0]), write_end(fds[1]);
@@ -491,18 +472,17 @@ TEST(HostServer, RequestTimeoutAnswers408) {
   EXPECT_GE(server.stats().timeouts, 1u);
 }
 
-TEST(HostServer, PollBackendServesToo) {
-  EchoHost host;
-  HostServer::Options options;
-  options.backend = PollerBackend::Poll;
-  HostServer server(&host, "echo.test", options);
-  const std::uint16_t port = server.start();
-  HttpClient client("127.0.0.1", port);
-  const auto response = client.get("/via-poll");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->body, "echo:/via-poll");
-  server.stop();
-}
+/// Refuses every head, as MultiSourceFetcher does for a hedge attempt that
+/// lost the race.
+class RefusingSink final : public net::ChunkSink {
+public:
+  bool on_head(const net::HttpResponse&) override {
+    ++heads;
+    return false;
+  }
+  bool on_chunk(core::Chunk) override { return false; }
+  int heads = 0;
+};
 
 TEST(HttpClient, ReconnectsAfterServerRestart) {
   EchoHost host;
@@ -531,6 +511,47 @@ TEST(HttpClient, ConnectFailureReportsError) {
   EXPECT_FALSE(response.has_value());
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(client.connected());
+}
+
+TEST(HttpClient, ReceiveTimeoutFailsTheRequest) {
+  // A listener that never accepts: the kernel completes the handshake and
+  // queues the request, but no response ever comes.
+  std::uint16_t port = 0;
+  const ScopedFd listener(listen_tcp(0, &port, nullptr));
+  ASSERT_TRUE(listener.valid());
+  HttpClient client("127.0.0.1", port, HttpClient::Options{1'000, 200});
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  const auto response = client.get("/never", &error);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(response.has_value());
+  EXPECT_EQ(error, "receive timeout");
+  // Loop timers read a millisecond clock, so the deadline may land up to
+  // 1 ms short of 200 ms measured here.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(199));
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  EXPECT_FALSE(client.connected());
+}
+
+TEST(HttpClient, SinkRefusalClosesAndTheNextRequestRedials) {
+  EchoHost host;
+  HostServer server(&host, "echo.test");
+  const std::uint16_t port = server.start();
+  HttpClient client("127.0.0.1", port);
+  RefusingSink sink;
+  net::HttpRequest request;
+  request.target = "/refused";
+  std::string error;
+  EXPECT_FALSE(client.request_streaming(request, sink, &error).has_value());
+  EXPECT_EQ(error, "streaming cancelled by sink");
+  EXPECT_EQ(sink.heads, 1);
+  EXPECT_FALSE(client.connected());  // a half-read body is not reusable
+
+  const auto response = client.get("/after");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->body, "echo:/after");
+  server.stop();
+  EXPECT_EQ(server.stats().connections_accepted, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -913,18 +934,6 @@ TEST(SocketNet, BreakerHalfOpensProbesAndRecloses) {
     server.stop();
   }
 }
-
-/// Refuses every head, as MultiSourceFetcher does for a hedge attempt that
-/// lost the race.
-class RefusingSink final : public net::ChunkSink {
-public:
-  bool on_head(const net::HttpResponse&) override {
-    ++heads;
-    return false;
-  }
-  bool on_chunk(core::Chunk) override { return false; }
-  int heads = 0;
-};
 
 TEST(SocketNet, SinkRefusalsFromALiveServerKeepTheBreakerClosed) {
   // Regression: a caller's sink refusing heads used to count as transport

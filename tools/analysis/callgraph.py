@@ -16,7 +16,7 @@ three enforced properties:
                    definition annotated IDICN_REQUIRES(<...role...>)) may
                    transitively reach a blocking call: sleeps, process
                    spawns, synchronous connect/HTTP-client traffic, condvar
-                   waits, RetryPolicy::sleep. This is the transitive form
+                   waits. This is the transitive form
                    of the PR 7 sibling counter-fetch stall (DESIGN.md §11).
   lock-across-io   No MutexLock may be live in scope at a call that
                    performs (or transitively reaches) network I/O — the
@@ -67,10 +67,8 @@ BLOCKING_NAMES = frozenset({
 #: Project functions that are blocking by contract even though their
 #: terminal names are not in BLOCKING_NAMES (suffix-matched, `::`-separated).
 BLOCKING_PROJECT_SUFFIXES = (
-    "RetryPolicy::sleep",
     "HttpClient::request",
     "HttpClient::request_streaming",
-    "HttpClient::ensure_connected",
     "connect_tcp",
 )
 

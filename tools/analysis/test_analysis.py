@@ -222,19 +222,24 @@ class RuleTest(unittest.TestCase):
         self.assertEqual(callgraph.check_loop_blocking(g), [])
 
     def test_blocking_project_suffix_is_a_sink(self):
+        # `request` is no blocking name and the definition's body reaches
+        # none: only the BLOCKING_PROJECT_SUFFIXES entry makes it a sink.
         g = graph_of(("""
             namespace idicn::runtime {
             struct Worker {
               void on_timer() IDICN_REQUIRES(loop_role_) {
-                retry_.sleep(attempt);
+                client_.request(req);
               }
             };
-            void RetryPolicy::sleep(int attempt) { usleep(1000); }
+            std::optional<net::HttpResponse> HttpClient::request(
+                const net::HttpRequest& request, std::string* error) {
+              return round_trip(request, nullptr, error);
+            }
             }
         """, "worker.cpp"))
         findings = callgraph.check_loop_blocking(g)
         sinks = {f.sink for f in findings}
-        self.assertIn("sleep", sinks)
+        self.assertIn("request", sinks)
 
     def test_hot_path_transitive_allocation(self):
         g = graph_of(("""

@@ -139,8 +139,8 @@ class HedgeTimerTest(unittest.TestCase):
         self.assertEqual(findings, [])
 
     def test_rule_scoped_to_policy_files(self):
-        # The blocking HttpClient legitimately reads the wall clock.
-        findings = check_file(Path("src/runtime/http_client.cpp"),
+        # The event loop's now_ms legitimately reads the steady clock.
+        findings = check_file(Path("src/runtime/event_loop.cpp"),
                               "const auto t0 = std::chrono::steady_clock::now();\n")
         self.assertNotIn("hedge-timer", rules_of(findings))
 
@@ -159,7 +159,7 @@ class BodyCopyTest(unittest.TestCase):
         self.assertIn("body-copy", rules_of(findings))
 
     def test_request_serialize_is_fine(self):
-        findings = check_file(Path("src/runtime/http_client.cpp"),
+        findings = check_file(Path("src/runtime/async_http_client.cpp"),
                               "auto wire = request.serialize();\n")
         self.assertNotIn("body-copy", rules_of(findings))
 
