@@ -28,7 +28,7 @@ namespace app = ::idicn::idicn;
 
 /// A reverse proxy's reply to the ranged, proof-requesting GET a verifying
 /// proxy sends on a MISS: a 16 KB 206 of a 48 KB object carrying the
-/// Metalink headers and the ~50 KB hex signature.
+/// Metalink headers and the ~9 KB hex signature.
 struct MetalinkReply {
   std::string proof;  ///< the X-IdICN-Signature value
   std::string wire;   ///< the whole serialized reply
@@ -101,7 +101,7 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(32)->Arg(64)->Arg(1024)->Arg(65536);
 
-// The one-block hash Lamport keygen and verification run per secret.
+// The one-block hash of one Winternitz chain step (keygen, sign, verify).
 void BM_Sha256Hash32(benchmark::State& state) {
   crypto::Sha256Digest value{};
   for (auto _ : state) {

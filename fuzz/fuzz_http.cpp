@@ -1,6 +1,7 @@
-// Fuzz harness for the HTTP grammar: the complete-message parsers
-// (parse_request/parse_response) and the incremental HttpDecoder, plus the
-// cross-checks that keep the two parse paths honest:
+// Fuzz harness for the HTTP grammar — the complete-message parsers
+// (parse_request/parse_response) and the incremental HttpDecoder — and for
+// MerkleSignature::decode, which a verifying MISS runs on the
+// X-IdICN-Signature value. The cross-checks that keep them honest:
 //
 //   * no crash/UB on arbitrary bytes (the point of fuzzing);
 //   * decoder(whole buffer) == decoder(byte-at-a-time) on message count;
@@ -9,7 +10,10 @@
 //   * any message that decodes re-serializes into something the complete
 //     parser accepts (serialize ∘ decode is closed over the grammar);
 //   * no header value that either parser yields holds CR, LF or NUL (the
-//     response-splitting guard, which runs a fast scan before rewriting).
+//     response-splitting guard, which runs a fast scan before rewriting);
+//   * a proof that decodes re-encodes to the same signature, field for
+//     field, and never verifies against a root nothing signed under,
+//     whatever its leaf index or path length.
 //
 // Build with -DIDICN_BUILD_FUZZERS=ON. Under clang the harness links
 // libFuzzer (-fsanitize=fuzzer) and explores autonomously; under gcc it
@@ -23,6 +27,8 @@
 #include <string>
 #include <string_view>
 
+#include "crypto/lamport.hpp"
+#include "crypto/sha256.hpp"
 #include "net/http_decoder.hpp"
 #include "net/http_message.hpp"
 
@@ -30,14 +36,34 @@ using idicn::net::HttpDecoder;
 
 namespace {
 
+/// The proof decoder on hostile bytes: decode ∘ encode is the identity on
+/// whatever decodes, and verification against a root no signer holds
+/// fails cleanly for any leaf index and any path length.
+void check_proof(std::string_view text) {
+  using idicn::crypto::MerkleSignature;
+  const auto signature = MerkleSignature::decode(text);
+  if (!signature) return;
+  const auto again = MerkleSignature::decode(signature->encode());
+  assert(again.has_value() && *again == *signature);
+  static const idicn::crypto::Sha256Digest kUnsignedRoot =
+      idicn::crypto::Sha256::hash("fuzz_http: a root no key signs under");
+  const bool verified =
+      idicn::crypto::MerkleSigner::verify(kUnsignedRoot, text, *signature);
+  assert(!verified);
+  (void)again;  // assert-only (NDEBUG builds)
+  (void)verified;
+}
+
 /// Values are sanitized on insertion, so none may hold a byte that could
-/// split a message on the wire.
+/// split a message on the wire. A proof header also goes through the proof
+/// decoder, as a verifying proxy's MISS does.
 void check_header_values(const idicn::net::HeaderMap& headers) {
   for (const auto& field : headers.fields()) {
     const std::string_view value = field.second;
     assert(value.find_first_of(std::string_view("\r\n\0", 3)) == std::string_view::npos);
     (void)value;  // assert-only (NDEBUG builds)
   }
+  if (const auto proof = headers.get_view("X-IdICN-Signature")) check_proof(*proof);
 }
 
 /// Feed the same bytes in one call and one byte at a time; the number of
@@ -139,6 +165,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     assert(decoded->target == request->target);
     assert(decoded->body == request->body);
   }
+
+  // The raw input as a proof (mutations land directly on its grammar).
+  check_proof(input);
 
   // Ranged reads: the raw input as a Range header value (mutations land
   // directly on the range grammar), and — when the bytes decode to a

@@ -13,6 +13,8 @@
 namespace idicn::crypto {
 namespace {
 
+using ChainValues = std::array<Sha256Digest, kWotsChains>;
+
 /// Fill a digest-sized buffer from a seeded PRNG (deterministic keygen).
 Sha256Digest random_digest(std::mt19937_64& rng) {
   Sha256Digest d{};
@@ -23,6 +25,20 @@ Sha256Digest random_digest(std::mt19937_64& rng) {
   return d;
 }
 
+/// One leaf's W-OTS secrets, regenerated from its seed whenever needed.
+ChainValues leaf_secrets(std::uint64_t seed, std::size_t leaf) {
+  // Per-leaf seeds are derived, not sequential, so adjacent keys differ.
+  std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + leaf * 0xb492b66fbe98f273ULL + leaf);
+  ChainValues secrets{};
+  for (Sha256Digest& secret : secrets) secret = random_digest(rng);
+  return secrets;
+}
+
+/// Hash `value` `steps` positions further along its chain.
+void chain_forward(Sha256Digest& value, unsigned steps) {
+  for (unsigned step = 0; step < steps; ++step) value = Sha256::hash32(value);
+}
+
 /// Hash of the concatenation of two digests (Merkle interior node).
 Sha256Digest hash_pair(const Sha256Digest& left, const Sha256Digest& right) {
   Sha256 h;
@@ -31,24 +47,19 @@ Sha256Digest hash_pair(const Sha256Digest& left, const Sha256Digest& right) {
   return h.finish();
 }
 
-/// Extract bit `i` (MSB-first within each byte) of a digest.
-bool digest_bit(const Sha256Digest& d, std::size_t i) {
-  return (d[i / 8] >> (7 - i % 8)) & 1;
+/// The bytes of a digest array. No padding means they are exactly the
+/// digests back to back — the canonical serialization.
+std::span<const std::uint8_t> bytes_of(const ChainValues& values) {
+  static_assert(std::has_unique_object_representations_v<ChainValues>);
+  return {reinterpret_cast<const std::uint8_t*>(&values), sizeof(ChainValues)};
 }
 
-/// The bytes of a (nested) digest array. No padding means they are exactly
-/// the digests back to back — the canonical serialization.
-template <typename Digests>
-std::span<const std::uint8_t> bytes_of(const Digests& digests) {
-  static_assert(std::has_unique_object_representations_v<Digests>);
-  return {reinterpret_cast<const std::uint8_t*>(&digests), sizeof(Digests)};
+std::span<std::uint8_t> writable_bytes_of(ChainValues& values) {
+  return {reinterpret_cast<std::uint8_t*>(&values), sizeof(ChainValues)};
 }
 
-template <typename Digests>
-std::span<std::uint8_t> writable_bytes_of(Digests& digests) {
-  static_assert(std::has_unique_object_representations_v<Digests>);
-  return {reinterpret_cast<std::uint8_t*>(&digests), sizeof(Digests)};
-}
+/// The Merkle leaf of one W-OTS key: the hash of its 133 chain ends.
+Sha256Digest leaf_of(const ChainValues& ends) { return Sha256::hash(bytes_of(ends)); }
 
 constexpr std::size_t kHexDigestLen = 2 * sizeof(Sha256Digest);
 
@@ -67,61 +78,38 @@ std::optional<std::uint32_t> parse_index(std::string_view text) {
 
 }  // namespace
 
-Sha256Digest LamportPublicKey::fingerprint() const {
-  return Sha256::hash(bytes_of(pairs));
-}
-
-LamportKeyPair lamport_keygen(std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  LamportKeyPair kp;
-  for (std::size_t i = 0; i < 256; ++i) {
-    for (std::size_t b = 0; b < 2; ++b) {
-      kp.secret.pairs[i][b] = random_digest(rng);
-      kp.pub.pairs[i][b] = Sha256::hash32(kp.secret.pairs[i][b]);
-    }
+WotsDigits wots_digits(const Sha256Digest& digest) noexcept {
+  constexpr unsigned kDigitsPerByte = 8 / kWotsBitsPerDigit;
+  constexpr unsigned kDigitMask = kWotsW - 1;
+  WotsDigits digits{};
+  unsigned checksum = 0;
+  for (std::size_t i = 0; i < kWotsMessageDigits; ++i) {
+    const unsigned shift = 8 - kWotsBitsPerDigit * (1 + i % kDigitsPerByte);
+    const unsigned digit = (digest[i / kDigitsPerByte] >> shift) & kDigitMask;
+    digits[i] = static_cast<std::uint8_t>(digit);
+    checksum += kDigitMask - digit;
   }
-  return kp;
-}
-
-LamportSignature lamport_sign(const LamportSecretKey& key, std::string_view message) {
-  const Sha256Digest digest = Sha256::hash(message);
-  LamportSignature sig;
-  for (std::size_t i = 0; i < 256; ++i) {
-    sig.revealed[i] = key.pairs[i][digest_bit(digest, i) ? 1 : 0];
+  for (std::size_t i = 0; i < kWotsChecksumDigits; ++i) {
+    const unsigned shift = kWotsBitsPerDigit * (kWotsChecksumDigits - 1 - i);
+    digits[kWotsMessageDigits + i] =
+        static_cast<std::uint8_t>((checksum >> shift) & kDigitMask);
   }
-  return sig;
+  return digits;
 }
-
-bool lamport_verify(const LamportPublicKey& key, std::string_view message,
-                    const LamportSignature& sig) {
-  const Sha256Digest digest = Sha256::hash(message);
-  for (std::size_t i = 0; i < 256; ++i) {
-    const std::size_t bit = digest_bit(digest, i) ? 1 : 0;
-    if (Sha256::hash32(sig.revealed[i]) != key.pairs[i][bit]) return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Merkle signature scheme
-// ---------------------------------------------------------------------------
 
 std::string MerkleSignature::encode() const {
   std::array<char, 10> index{};
   char* const index_end =
       std::to_chars(index.data(), index.data() + index.size(), leaf_index).ptr;
-  const auto key = bytes_of(ots_public_key.pairs);
-  const auto ots = bytes_of(ots_signature.revealed);
+  const auto values = bytes_of(chains);
   const std::size_t path_len =
       auth_path.empty() ? 0 : auth_path.size() * (kHexDigestLen + 1) - 1;
   std::string out(static_cast<std::size_t>(index_end - index.data()) + 1 +
-                      2 * key.size() + 1 + 2 * ots.size() + 1 + path_len,
+                      2 * values.size() + 1 + path_len,
                   '\0');
   char* cursor = std::copy(index.data(), index_end, out.data());
   *cursor++ = ':';
-  cursor = hex_encode_to(key, cursor);
-  *cursor++ = ':';
-  cursor = hex_encode_to(ots, cursor);
+  cursor = hex_encode_to(values, cursor);
   *cursor++ = ':';
   for (std::size_t i = 0; i < auth_path.size(); ++i) {
     if (i > 0) *cursor++ = ',';
@@ -140,19 +128,15 @@ std::optional<MerkleSignature> MerkleSignature::decode(std::string_view text) {
   sig.leaf_index = *index;
   text.remove_prefix(colon + 1);
 
-  // The key and signature fields have fixed lengths; each decodes straight
-  // into its array and must end in ':'.
-  const auto take_field = [&text](std::span<std::uint8_t> out) {
-    const std::size_t len = 2 * out.size();
-    if (text.size() <= len || text[len] != ':') return false;
-    if (!hex_decode(text.substr(0, len), out)) return false;
-    text.remove_prefix(len + 1);
-    return true;
-  };
-  if (!take_field(writable_bytes_of(sig.ots_public_key.pairs)) ||
-      !take_field(writable_bytes_of(sig.ots_signature.revealed))) {
+  // The chain values have a fixed length; they decode straight into their
+  // array and must end in ':'.
+  const auto values = writable_bytes_of(sig.chains);
+  const std::size_t values_len = 2 * values.size();
+  if (text.size() <= values_len || text[values_len] != ':' ||
+      !hex_decode(text.substr(0, values_len), values)) {
     return std::nullopt;
   }
+  text.remove_prefix(values_len + 1);
 
   // Remainder: comma-separated auth path (may be empty for height-0 trees).
   while (!text.empty()) {
@@ -167,53 +151,56 @@ std::optional<MerkleSignature> MerkleSignature::decode(std::string_view text) {
   return sig;
 }
 
-MerkleSigner::MerkleSigner(std::uint64_t seed, unsigned height) {
+MerkleSigner::MerkleSigner(std::uint64_t seed, unsigned height) : seed_(seed) {
   const std::size_t leaf_count = static_cast<std::size_t>(1) << height;
-  keys_.reserve(leaf_count);
-  leaves_.reserve(leaf_count);
+  std::vector<Sha256Digest> leaves;
+  leaves.reserve(leaf_count);
   for (std::size_t i = 0; i < leaf_count; ++i) {
-    // Per-leaf seeds are derived, not sequential, so adjacent keys differ.
-    keys_.push_back(lamport_keygen(seed * 0x9e3779b97f4a7c15ULL + i * 0xb492b66fbe98f273ULL + i));
-    leaves_.push_back(keys_.back().pub.fingerprint());
+    ChainValues ends = leaf_secrets(seed, i);
+    for (Sha256Digest& value : ends) chain_forward(value, kWotsW - 1);
+    leaves.push_back(leaf_of(ends));
   }
 
-  tree_.push_back(leaves_);
+  tree_.push_back(std::move(leaves));
   while (tree_.back().size() > 1) {
     const std::vector<Sha256Digest>& prev = tree_.back();
     std::vector<Sha256Digest> next;
-    next.reserve((prev.size() + 1) / 2);
+    next.reserve(prev.size() / 2);
     for (std::size_t i = 0; i < prev.size(); i += 2) {
       next.push_back(hash_pair(prev[i], prev[i + 1]));
     }
     tree_.push_back(std::move(next));
   }
-  root_ = tree_.back().front();
 }
 
 std::string MerkleSigner::fingerprint_hex() const {
-  const Sha256Digest fp = Sha256::hash32(root_);
+  const Sha256Digest fp = Sha256::hash32(root());
   return hex_encode(std::span<const std::uint8_t>(fp));
 }
 
 std::size_t MerkleSigner::remaining() const noexcept {
-  return leaves_.size() - next_leaf_;
+  const std::size_t claimed = next_leaf_.load();
+  return claimed < capacity() ? capacity() - claimed : 0;
 }
 
 MerkleSignature MerkleSigner::sign(std::string_view message) {
-  if (next_leaf_ >= leaves_.size()) {
+  // The increment is the whole claim: no two callers get one leaf, and
+  // the tree it reads below is immutable.
+  const std::size_t leaf = next_leaf_.fetch_add(1);
+  if (leaf >= capacity()) {
     throw std::runtime_error("MerkleSigner: all one-time keys exhausted");
   }
-  const std::size_t leaf = next_leaf_++;
 
   MerkleSignature sig;
   sig.leaf_index = static_cast<std::uint32_t>(leaf);
-  sig.ots_public_key = keys_[leaf].pub;
-  sig.ots_signature = lamport_sign(keys_[leaf].secret, message);
+  sig.chains = leaf_secrets(seed_, leaf);
+  const WotsDigits digits = wots_digits(Sha256::hash(message));
+  for (std::size_t i = 0; i < kWotsChains; ++i) chain_forward(sig.chains[i], digits[i]);
 
+  sig.auth_path.reserve(tree_.size() - 1);
   std::size_t index = leaf;
   for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
-    const std::size_t sibling = index ^ 1;
-    sig.auth_path.push_back(tree_[level][sibling]);
+    sig.auth_path.push_back(tree_[level][index ^ 1]);
     index /= 2;
   }
   return sig;
@@ -221,9 +208,15 @@ MerkleSignature MerkleSigner::sign(std::string_view message) {
 
 bool MerkleSigner::verify(const Sha256Digest& root, std::string_view message,
                           const MerkleSignature& sig) {
-  if (!lamport_verify(sig.ots_public_key, message, sig.ots_signature)) return false;
+  // Finish each chain: a valid signature lands on the signing key's public
+  // ends, whose hash is the leaf the auth path climbs from.
+  const WotsDigits digits = wots_digits(Sha256::hash(message));
+  ChainValues ends = sig.chains;
+  for (std::size_t i = 0; i < kWotsChains; ++i) {
+    chain_forward(ends[i], kWotsW - 1 - digits[i]);
+  }
 
-  Sha256Digest node = sig.ots_public_key.fingerprint();
+  Sha256Digest node = leaf_of(ends);
   std::size_t index = sig.leaf_index;
   for (const Sha256Digest& sibling : sig.auth_path) {
     node = (index & 1) ? hash_pair(sibling, node) : hash_pair(node, sibling);

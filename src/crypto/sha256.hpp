@@ -48,11 +48,11 @@ public:
   [[nodiscard]] static Sha256Digest hash(std::span<const std::uint8_t> data) noexcept;
   [[nodiscard]] static Sha256Digest hash(std::string_view data) noexcept;
 
-  /// SHA-256 of one 32-byte value, such as a Lamport secret. With SHA-NI
-  /// it is a single compression with constant padding and no streaming
-  /// state, about half of hash()'s cost on the 512 hashes of a Lamport
-  /// keygen and the 256 of a verification; otherwise it is hash(). Equals
-  /// hash() of the same 32 bytes.
+  /// SHA-256 of one 32-byte value: one step along a Winternitz hash chain.
+  /// With SHA-NI it is a single compression with constant padding and no
+  /// streaming state, about half of hash()'s cost on the 399 chain steps
+  /// of a one-time key and the ~200 of a verification; otherwise it is
+  /// hash(). Equals hash() of the same 32 bytes.
   [[nodiscard]] static Sha256Digest hash32(const Sha256Digest& data) noexcept;
 
 private:

@@ -45,7 +45,7 @@ std::optional<ContentMetadata> ContentMetadata::from_headers(
     return std::nullopt;
   }
 
-  // The proof is ~48 KB of hex: decoded from a view of the header value,
+  // The proof is ~9 KB of hex: decoded from a view of the header value,
   // never copied.
   const auto signature_value = headers.get_view("X-IdICN-Signature");
   if (!signature_value) return std::nullopt;

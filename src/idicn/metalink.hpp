@@ -45,8 +45,8 @@ struct ContentMetadata {
   [[nodiscard]] std::string signing_input() const;
 
   /// Attach to / extract from HTTP headers. `include_proof` controls the
-  /// expensive proof fields (publisher key + hash-based signature, tens of
-  /// kilobytes); without them only the name, digest, and mirrors ride
+  /// expensive proof fields (publisher key + hash-based signature, about
+  /// 9 KB of hex); without them only the name, digest, and mirrors ride
   /// along — enough for an integrity hint, not for verification. Callers
   /// that verify must request the proof (see kWantMetadataHeader).
   void apply_to(net::HeaderMap& headers, bool include_proof = true) const;

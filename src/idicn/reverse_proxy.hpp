@@ -9,14 +9,18 @@
 //     (step 5) and caches the result.
 //
 // Threading: handle_http / handle_http_async are safe under concurrent
-// runtime::ServerGroup workers. One mutex guards the signed-entry map AND
-// the MerkleSigner — sign() consumes one-time keys, so signing must be
-// serialized — but is never held across network I/O: a miss fetches from
-// the origin unlocked (via Transport::send_async, parking the request
-// instead of blocking the worker's event loop), then re-checks under the
-// lock (a sibling worker may have admitted the label meanwhile, in which
-// case the extra fetch is discarded). The hit / fetch counters are relaxed
-// atomics, sampleable from any thread.
+// runtime::ServerGroup workers. One mutex guards the signed-entry map and
+// makes this proxy's check-then-sign steps atomic (publish() checks for two
+// one-time keys before spending them). MerkleSigner::sign() claims its
+// one-time key atomically on its own, so replicas that share one signer
+// never sign two messages with one key (they can still race on the budget
+// check: the loser's sign() throws). The mutex is never held across
+// network I/O: a miss fetches from the origin unlocked (via
+// Transport::send_async, parking the request instead of blocking the
+// worker's event loop), then re-checks under the lock (a sibling worker may
+// have admitted the label meanwhile, in which case the extra fetch is
+// discarded). The hit / fetch counters are relaxed atomics, sampleable from
+// any thread.
 #pragma once
 
 #include <map>
@@ -130,8 +134,8 @@ private:
   std::vector<net::Address> mirrors_;          ///< setup-time (add_mirror)
   std::vector<net::Address> origin_replicas_;  ///< setup-time
   runtime::MultiSourceFetcher origin_fetcher_;  ///< miss-path fetch engine
-  /// Guards the entry map and the signer's one-time-key state; never held
-  /// across net_->send().
+  /// Guards the entry map and this proxy's use of the signer (its budget
+  /// checks); never held across net_->send().
   mutable core::sync::Mutex mutex_;
   crypto::MerkleSigner* signer_ IDICN_PT_GUARDED_BY(mutex_);
   std::map<std::string, Entry> entries_

@@ -44,7 +44,7 @@ bool parse_fields_and_body(std::string_view text, HeaderMap& headers, std::strin
 }  // namespace
 
 std::string sanitize_header_value(std::string value) {
-  // Nearly every value is clean, the ~50 KB proof header included: three
+  // Nearly every value is clean, the ~9 KB proof header included: three
   // memchr scans settle that at vector speed, and only a value that holds
   // CR, LF or NUL pays the byte-wise rewrite.
   const auto holds = [&value](char c) {

@@ -1,11 +1,15 @@
 // Crypto substrate tests: SHA-256 against FIPS vectors (both compression
 // kernels, and the one-block hash32 against the streaming hash),
-// hex/base32 codecs, Lamport and Merkle signatures incl. forgery, tamper
-// and malformed-encoding rejection.
+// hex/base32 codecs, Winternitz one-time and Merkle signatures incl.
+// forgery, tamper and malformed-encoding rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <random>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "crypto/base32.hpp"
 #include "crypto/hex.hpp"
@@ -306,37 +310,156 @@ TEST(Base32, DecodeAcceptsUppercase) {
   EXPECT_EQ(std::string(decoded->begin(), decoded->end()), "foobar");
 }
 
-// --- Lamport one-time signatures -------------------------------------------
+// --- Winternitz one-time signatures (w = 4) --------------------------------
+//
+// A height-0 signer is a single W-OTS key: its root is the leaf, the hash
+// of the key's 133 chain ends, and its signatures carry no auth path.
 
-TEST(Lamport, SignVerify) {
-  const LamportKeyPair kp = lamport_keygen(7);
-  const LamportSignature sig = lamport_sign(kp.secret, "hello idicn");
-  EXPECT_TRUE(lamport_verify(kp.pub, "hello idicn", sig));
+Sha256Digest random_digest(std::mt19937_64& rng) {
+  Sha256Digest digest{};
+  for (std::uint8_t& byte : digest) byte = static_cast<std::uint8_t>(rng());
+  return digest;
 }
 
-TEST(Lamport, RejectsWrongMessage) {
-  const LamportKeyPair kp = lamport_keygen(7);
-  const LamportSignature sig = lamport_sign(kp.secret, "hello idicn");
-  EXPECT_FALSE(lamport_verify(kp.pub, "hello idicn!", sig));
+/// `digest` with its message digit `i` (two bits, MSB first) set to `value`.
+Sha256Digest with_digit(Sha256Digest digest, std::size_t i, unsigned value) {
+  const unsigned shift = 6 - 2 * (i % 4);
+  digest[i / 4] = static_cast<std::uint8_t>((digest[i / 4] & ~(3u << shift)) |
+                                            (value << shift));
+  return digest;
 }
 
-TEST(Lamport, RejectsWrongKey) {
-  const LamportKeyPair kp1 = lamport_keygen(7);
-  const LamportKeyPair kp2 = lamport_keygen(8);
-  const LamportSignature sig = lamport_sign(kp1.secret, "msg");
-  EXPECT_FALSE(lamport_verify(kp2.pub, "msg", sig));
+/// Whether no digit of `a` is below the matching digit of `b`: a forger
+/// could then hash a signature over `b`'s digits forward into one over
+/// `a`'s.
+bool dominates(const WotsDigits& a, const WotsDigits& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] < b[i]) return false;
+  }
+  return true;
 }
 
-TEST(Lamport, RejectsTamperedSignature) {
-  const LamportKeyPair kp = lamport_keygen(9);
-  LamportSignature sig = lamport_sign(kp.secret, "msg");
-  sig.revealed[17][5] ^= 0x01;
-  EXPECT_FALSE(lamport_verify(kp.pub, "msg", sig));
+TEST(Wots, SignVerify) {
+  MerkleSigner signer(7, 0);
+  const MerkleSignature sig = signer.sign("hello idicn");
+  EXPECT_TRUE(sig.auth_path.empty());
+  EXPECT_TRUE(MerkleSigner::verify(signer.root(), "hello idicn", sig));
 }
 
-TEST(Lamport, KeygenIsDeterministic) {
-  EXPECT_EQ(lamport_keygen(123).pub, lamport_keygen(123).pub);
-  EXPECT_NE(lamport_keygen(123).pub, lamport_keygen(124).pub);
+TEST(Wots, RejectsWrongMessage) {
+  MerkleSigner signer(7, 0);
+  const MerkleSignature sig = signer.sign("hello idicn");
+  EXPECT_FALSE(MerkleSigner::verify(signer.root(), "hello idicn!", sig));
+}
+
+TEST(Wots, RejectsWrongRoot) {
+  MerkleSigner signer(7, 0);
+  const MerkleSigner other(8, 0);
+  const MerkleSignature sig = signer.sign("msg");
+  EXPECT_FALSE(MerkleSigner::verify(other.root(), "msg", sig));
+}
+
+TEST(Wots, RejectsTamperedChainValue) {
+  MerkleSigner signer(9, 0);
+  const MerkleSignature sig = signer.sign("msg");
+  ASSERT_TRUE(MerkleSigner::verify(signer.root(), "msg", sig));
+  // A message chain and a checksum chain.
+  for (const std::size_t chain : {std::size_t{17}, kWotsChains - 1}) {
+    MerkleSignature tampered = sig;
+    tampered.chains[chain][5] ^= 0x01;
+    EXPECT_FALSE(MerkleSigner::verify(signer.root(), "msg", tampered)) << chain;
+  }
+}
+
+TEST(Wots, KeygenIsDeterministic) {
+  EXPECT_EQ(MerkleSigner(123, 0).root(), MerkleSigner(123, 0).root());
+  EXPECT_NE(MerkleSigner(123, 0).root(), MerkleSigner(124, 0).root());
+  // The signer stores no secrets; sign() regenerates the same ones.
+  MerkleSigner signer(123, 2);
+  MerkleSigner twin(123, 2);
+  EXPECT_EQ(signer.sign("msg"), twin.sign("msg"));
+}
+
+TEST(Wots, DigitsReadTheDigestThenItsChecksum) {
+  // All-zero digest: 128 zero digits, checksum 128 × 3 = 384 = 12000 in base 4.
+  const WotsDigits zeros = wots_digits(Sha256Digest{});
+  for (std::size_t i = 0; i < kWotsMessageDigits; ++i) ASSERT_EQ(zeros[i], 0) << i;
+  EXPECT_EQ(std::vector<int>(zeros.begin() + kWotsMessageDigits, zeros.end()),
+            (std::vector<int>{1, 2, 0, 0, 0}));
+
+  // All-ones digest: every digit at the top, so the checksum is 0.
+  Sha256Digest ones{};
+  ones.fill(0xff);
+  const WotsDigits tops = wots_digits(ones);
+  EXPECT_TRUE(std::all_of(tops.begin(), tops.begin() + kWotsMessageDigits,
+                          [](std::uint8_t digit) { return digit == kWotsW - 1; }));
+  EXPECT_TRUE(std::all_of(tops.begin() + kWotsMessageDigits, tops.end(),
+                          [](std::uint8_t digit) { return digit == 0; }));
+
+  // Two bits per digit, most significant first: 0x1b = 00 01 10 11.
+  Sha256Digest ramp{};
+  ramp[0] = 0x1b;
+  const WotsDigits ramp_digits = wots_digits(ramp);
+  EXPECT_EQ(std::vector<int>(ramp_digits.begin(), ramp_digits.begin() + 4),
+            (std::vector<int>{0, 1, 2, 3}));
+}
+
+// The checksum is what stops a forger who holds one signature from hashing
+// its chains forward into a signature over another message.
+TEST(Wots, RaisingAMessageDigitLowersAChecksumDigit) {
+  std::mt19937_64 rng(21);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Sha256Digest digest = random_digest(rng);
+    const WotsDigits digits = wots_digits(digest);
+    for (std::size_t i = 0; i < kWotsMessageDigits; ++i) {
+      for (unsigned raised = digits[i] + 1u; raised < kWotsW; ++raised) {
+        const WotsDigits forged = wots_digits(with_digit(digest, i, raised));
+        ASSERT_EQ(forged[i], raised);
+        bool lowered = false;
+        for (std::size_t c = kWotsMessageDigits; c < kWotsChains; ++c) {
+          lowered = lowered || forged[c] < digits[c];
+        }
+        ASSERT_TRUE(lowered) << "trial " << trial << ", digit " << i;
+      }
+    }
+  }
+}
+
+TEST(Wots, NoDigitVectorDominatesAnother) {
+  std::mt19937_64 rng(22);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const Sha256Digest digest = random_digest(rng);
+    const WotsDigits digits = wots_digits(digest);
+    const WotsDigits other = wots_digits(random_digest(rng));
+    ASSERT_FALSE(dominates(digits, other)) << trial;
+    ASSERT_FALSE(dominates(other, digits)) << trial;
+
+    // A digest whose message digits all sit at or above these: without
+    // the checksum its signature would follow by hashing forward.
+    Sha256Digest raised = digest;
+    for (int k = 0; k < 1 + trial % 8; ++k) {
+      const std::size_t i = rng() % kWotsMessageDigits;
+      raised = with_digit(raised, i, std::max<unsigned>(wots_digits(raised)[i],
+                                                        1u + rng() % (kWotsW - 1)));
+    }
+    if (raised == digest) continue;
+    ASSERT_FALSE(dominates(wots_digits(raised), digits)) << trial;
+  }
+}
+
+TEST(Wots, RaisedChainWithoutLoweredChecksumIsRejected) {
+  MerkleSigner signer(10, 0);
+  const MerkleSignature sig = signer.sign("msg");
+  const WotsDigits digits = wots_digits(Sha256::hash("msg"));
+  std::size_t raised_chains = 0;
+  for (std::size_t i = 0; i < kWotsMessageDigits; ++i) {
+    if (digits[i] == kWotsW - 1) continue;
+    MerkleSignature forged = sig;
+    forged.chains[i] = Sha256::hash32(forged.chains[i]);
+    EXPECT_FALSE(MerkleSigner::verify(signer.root(), "msg", forged)) << i;
+    ++raised_chains;
+  }
+  EXPECT_GT(raised_chains, 0u);
 }
 
 // --- Merkle signature scheme ------------------------------------------------
@@ -357,6 +480,62 @@ TEST(Merkle, ExhaustionThrows) {
   (void)signer.sign("a");
   (void)signer.sign("b");
   EXPECT_THROW((void)signer.sign("c"), std::runtime_error);
+  EXPECT_THROW((void)signer.sign("d"), std::runtime_error);
+  EXPECT_EQ(signer.remaining(), 0u);
+}
+
+TEST(Merkle, ConcurrentSignsClaimDistinctLeaves) {
+  constexpr unsigned kThreads = 8;
+  constexpr int kLateCalls = 3;
+  MerkleSigner signer(20, 10);  // 1024 one-time keys
+  struct Signed {
+    std::string message;
+    MerkleSignature sig;
+  };
+  std::vector<std::vector<Signed>> signed_by(kThreads);
+  std::vector<int> refusals(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&signer, &signed_by, &refusals, &start, t] {
+      start.arrive_and_wait();
+      for (int n = 0;; ++n) {
+        std::string message =
+            "thread " + std::to_string(t) + ", message " + std::to_string(n);
+        try {
+          MerkleSignature sig = signer.sign(message);
+          signed_by[t].push_back({std::move(message), std::move(sig)});
+        } catch (const std::runtime_error&) {
+          ++refusals[t];
+          break;
+        }
+      }
+      // Every call past exhaustion throws, not only the first.
+      for (int late = 0; late < kLateCalls; ++late) {
+        try {
+          (void)signer.sign("late");
+        } catch (const std::runtime_error&) {
+          ++refusals[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(signer.remaining(), 0u);
+  std::vector<int> uses(signer.capacity(), 0);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(refusals[t], 1 + kLateCalls) << "thread " << t;
+    for (const Signed& entry : signed_by[t]) {
+      ASSERT_LT(entry.sig.leaf_index, signer.capacity());
+      ++uses[entry.sig.leaf_index];
+      EXPECT_TRUE(MerkleSigner::verify(signer.root(), entry.message, entry.sig))
+          << entry.message;
+    }
+  }
+  for (std::size_t leaf = 0; leaf < uses.size(); ++leaf) {
+    EXPECT_EQ(uses[leaf], 1) << "leaf " << leaf;
+  }
 }
 
 TEST(Merkle, RejectsWrongRoot) {
@@ -397,7 +576,7 @@ TEST(Merkle, EncodeDecodeRoundtrip) {
   const MerkleSignature sig = signer.sign("roundtrip me");
   const auto decoded = MerkleSignature::decode(sig.encode());
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->leaf_index, sig.leaf_index);
+  EXPECT_EQ(*decoded, sig);
   EXPECT_TRUE(MerkleSigner::verify(signer.root(), "roundtrip me", *decoded));
 }
 
@@ -412,7 +591,7 @@ TEST(Merkle, DecodeRejectsGarbage) {
 
   const std::string leaf1 = signer.sign("y").encode();
   ASSERT_EQ(leaf1.substr(0, 2), "1:");
-  const std::string fields = leaf1.substr(1);  // ":<key>:<signature>:<path>"
+  const std::string fields = leaf1.substr(1);  // ":<chain values>:<path>"
   ASSERT_TRUE(MerkleSignature::decode(leaf1).has_value());
 
   // The index must not wrap: 2^32 + 1 is not leaf 1, and more than ten
@@ -424,24 +603,24 @@ TEST(Merkle, DecodeRejectsGarbage) {
   ASSERT_TRUE(max_index.has_value());
   EXPECT_EQ(max_index->leaf_index, 4294967295u);
 
-  // Key and signature fields one hex pair short or long.
-  const std::size_t key_start = 2;
-  const std::size_t key_end = leaf1.find(':', key_start);
-  const std::size_t sig_end = leaf1.find(':', key_end + 1);
-  EXPECT_EQ(key_end - key_start, 2u * 256 * 2 * 32);
-  EXPECT_EQ(sig_end - key_end - 1, 2u * 256 * 32);
-  for (const std::size_t field : {key_start, key_end + 1}) {
+  // The chain values: 133 × 32 bytes of hex, then ':'. One hex pair short
+  // or long at either end of the field, or no ':' after it, is refused.
+  const std::size_t chains_start = 2;
+  const std::size_t chains_end = leaf1.find(':', chains_start);
+  EXPECT_EQ(chains_end - chains_start, 2u * kWotsChains * 32);
+  for (const std::size_t at : {chains_start, chains_end - 2}) {
     std::string shorter = leaf1;
-    shorter.erase(field, 2);
-    EXPECT_FALSE(MerkleSignature::decode(shorter).has_value()) << "field=" << field;
+    shorter.erase(at, 2);
+    EXPECT_FALSE(MerkleSignature::decode(shorter).has_value()) << "at=" << at;
     std::string longer = leaf1;
-    longer.insert(field, "00");
-    EXPECT_FALSE(MerkleSignature::decode(longer).has_value()) << "field=" << field;
+    longer.insert(at, "00");
+    EXPECT_FALSE(MerkleSignature::decode(longer).has_value()) << "at=" << at;
   }
+  EXPECT_FALSE(MerkleSignature::decode(leaf1.substr(0, chains_end)).has_value());
 
   // A byte >= 0x80 inside a hex field (a table indexed by signed char
   // would read before its start; 0xb0 also aliases '0' in seven bits).
-  for (const std::size_t at : {key_start + 7, key_end + 9, sig_end + 3}) {
+  for (const std::size_t at : {chains_start + 7, chains_end - 1, chains_end + 3}) {
     std::string high = leaf1;
     high[at] = '\xb0';
     EXPECT_FALSE(MerkleSignature::decode(high).has_value()) << "at=" << at;
@@ -450,6 +629,21 @@ TEST(Merkle, DecodeRejectsGarbage) {
   // The auth path: 64 hex digits per node, no trailing separator.
   EXPECT_FALSE(MerkleSignature::decode(leaf1 + ",").has_value());
   EXPECT_FALSE(MerkleSignature::decode(leaf1.substr(0, leaf1.size() - 2)).has_value());
+}
+
+// Pins the scheme end to end: the key derivation, the chain and leaf
+// hashing, the digit order and the encoding. Any change to them changes
+// every signed name and proof on the wire. The values were cross-checked
+// against a separate implementation on Python's hashlib.
+TEST(Merkle, KnownAnswer) {
+  MerkleSigner signer(2013, 3);
+  EXPECT_EQ(hex_of(signer.root()),
+            "f588c2853760d80f848d65757032f779c8a42bdf584bdaf4ed8a07f0505fcc5a");
+  const std::string encoded = signer.sign("idicn known answer").encode();
+  // "0:", 133 × 64 hex digits, ':', 3 × 64 hex digits and 2 commas.
+  EXPECT_EQ(encoded.size(), 8709u);
+  EXPECT_EQ(hex_of(Sha256::hash(encoded)),
+            "f6d3c05116877fdcfa4283708455e57d9b64e5325ded36032fd119e80b473498");
 }
 
 TEST(Merkle, DistinctSignersHaveDistinctRoots) {

@@ -410,9 +410,9 @@ TEST(HeaderInjection, SanitizeStripsCrLfNul) {
   EXPECT_EQ(sanitize_header_value(std::string("a\0b", 3)), "ab");
   EXPECT_EQ(sanitize_header_value("\r\n\r\n"), "");
 
-  // Values the size of a Lamport proof: a clean one comes back unchanged,
-  // and a CR, LF or NUL is stripped at the first byte, the middle and the
-  // last byte.
+  // Values as large as the 64 KB header cap: a clean one comes back
+  // unchanged, and a CR, LF or NUL is stripped at the first byte, the
+  // middle and the last byte.
   std::string clean(64 * 1024, '\0');
   for (std::size_t i = 0; i < clean.size(); ++i) clean[i] = "0123456789abcdef:,"[i % 18];
   EXPECT_EQ(sanitize_header_value(clean), clean);

@@ -8,8 +8,10 @@
 // reverse proxies publishing every object (two NRS locations, each
 // advertising the other as a Link mirror), and SimNet's inline transport.
 // The two proof-carrying HITs (X-IdICN-Want-Metadata, peer query) carry
-// ~48 KB of signature hex each, so their goldens are the size and SHA-256
-// of the wire bytes instead of the bytes themselves.
+// ~9 KB of signature hex each, so their goldens are the size and SHA-256
+// of the wire bytes instead of the bytes themselves. Every name embeds the
+// publisher id P, the hash of the signer's Merkle root, so a change to the
+// signature scheme changes P in every golden.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,7 +107,7 @@ constexpr const char* kFirstMiss =
     "HTTP/1.1 200 OK\r\n"
     "Content-Type: text/plain\r\n"
     "Content-Length: 66\r\n"
-    "X-IdICN-Name: golden.l63stfkmfrf6f34qqvaaiqy6jiyeqfqm5uwkwgfd2ahwvjhfj2va.idicn.org\r\n"
+    "X-IdICN-Name: golden.rp3uk7rl5dh4jk76izjhlc4yliskryvexqbpihyltwbscz3v4m6a.idicn.org\r\n"
     "X-IdICN-Digest: sha-256=c8309887f9e354ead5c6194835d1ec08e64bd79e3e7d7a128ee69d0d25c71565\r\n"
     "Link: <rp.pub>; rel=duplicate\r\n"
     "Link: <rp2.pub>; rel=duplicate\r\n"
@@ -120,7 +122,7 @@ constexpr const char* kPlainHit =
     "HTTP/1.1 200 OK\r\n"
     "Content-Type: text/plain\r\n"
     "Content-Length: 66\r\n"
-    "X-IdICN-Name: golden.l63stfkmfrf6f34qqvaaiqy6jiyeqfqm5uwkwgfd2ahwvjhfj2va.idicn.org\r\n"
+    "X-IdICN-Name: golden.rp3uk7rl5dh4jk76izjhlc4yliskryvexqbpihyltwbscz3v4m6a.idicn.org\r\n"
     "X-IdICN-Digest: sha-256=c8309887f9e354ead5c6194835d1ec08e64bd79e3e7d7a128ee69d0d25c71565\r\n"
     "Link: <rp.pub>; rel=duplicate\r\n"
     "Link: <rp2.pub>; rel=duplicate\r\n"
@@ -133,12 +135,12 @@ constexpr const char* kPlainHit =
 // Size and SHA-256 of a HIT carrying the full proof: X-IdICN-Want-Metadata
 // and peer queries (which always get the proof) answer the same bytes.
 constexpr const char* kProofHit =
-    "50059 fa61725cc2bc325dc29e1f7c4dfbc2171318fe4d2164adafb304a08f06e0dfc4";
+    "9418 553da19eaecb6246419d3fea1b86e829027de9002b69e76cea62ff09678b69f7";
 
 constexpr const char* kRangeHit =
     "HTTP/1.1 206 Partial Content\r\n"
     "Content-Type: text/plain\r\n"
-    "X-IdICN-Name: golden.l63stfkmfrf6f34qqvaaiqy6jiyeqfqm5uwkwgfd2ahwvjhfj2va.idicn.org\r\n"
+    "X-IdICN-Name: golden.rp3uk7rl5dh4jk76izjhlc4yliskryvexqbpihyltwbscz3v4m6a.idicn.org\r\n"
     "X-IdICN-Digest: sha-256=c8309887f9e354ead5c6194835d1ec08e64bd79e3e7d7a128ee69d0d25c71565\r\n"
     "Link: <rp.pub>; rel=duplicate\r\n"
     "Link: <rp2.pub>; rel=duplicate\r\n"
@@ -154,7 +156,7 @@ constexpr const char* kPopMiss =
     "HTTP/1.1 200 OK\r\n"
     "Content-Type: text/plain\r\n"
     "Content-Length: 66\r\n"
-    "X-IdICN-Name: golden.l63stfkmfrf6f34qqvaaiqy6jiyeqfqm5uwkwgfd2ahwvjhfj2va.idicn.org\r\n"
+    "X-IdICN-Name: golden.rp3uk7rl5dh4jk76izjhlc4yliskryvexqbpihyltwbscz3v4m6a.idicn.org\r\n"
     "X-IdICN-Digest: sha-256=c8309887f9e354ead5c6194835d1ec08e64bd79e3e7d7a128ee69d0d25c71565\r\n"
     "Link: <rp.pub>; rel=duplicate\r\n"
     "Link: <rp2.pub>; rel=duplicate\r\n"
@@ -170,7 +172,7 @@ constexpr const char* kPopHit =
     "HTTP/1.1 200 OK\r\n"
     "Content-Type: text/plain\r\n"
     "Content-Length: 66\r\n"
-    "X-IdICN-Name: golden.l63stfkmfrf6f34qqvaaiqy6jiyeqfqm5uwkwgfd2ahwvjhfj2va.idicn.org\r\n"
+    "X-IdICN-Name: golden.rp3uk7rl5dh4jk76izjhlc4yliskryvexqbpihyltwbscz3v4m6a.idicn.org\r\n"
     "X-IdICN-Digest: sha-256=c8309887f9e354ead5c6194835d1ec08e64bd79e3e7d7a128ee69d0d25c71565\r\n"
     "Link: <rp.pub>; rel=duplicate\r\n"
     "Link: <rp2.pub>; rel=duplicate\r\n"
