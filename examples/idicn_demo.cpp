@@ -83,6 +83,10 @@ int main() {
     net::HttpResponse handle_http(const net::HttpRequest& request,
                                   const net::Address& from) override {
       net::HttpResponse response = upstream_->handle_http(request, from);
+      // The proxy answers with chunks shared with its cached entry: flip a
+      // byte of a private copy, or every later reader would see it too.
+      response.body = response.full_body();
+      response.stream_body.clear();
       if (!response.body.empty()) response.body[0] ^= 0x20;
       response.headers.set("Content-Length", std::to_string(response.body.size()));
       return response;

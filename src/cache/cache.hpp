@@ -26,7 +26,7 @@ namespace idicn::cache {
 
 using ObjectId = std::uint32_t;
 
-enum class PolicyKind { Lru, Lfu, Fifo, Random, Infinite };
+enum class PolicyKind { Lru, Lfu, Fifo, Random };
 
 [[nodiscard]] std::string to_string(PolicyKind kind);
 

@@ -13,7 +13,6 @@ std::string to_string(PolicyKind kind) {
     case PolicyKind::Lfu: return "LFU";
     case PolicyKind::Fifo: return "FIFO";
     case PolicyKind::Random: return "RANDOM";
-    case PolicyKind::Infinite: return "INFINITE";
   }
   return "UNKNOWN";
 }
@@ -25,7 +24,6 @@ std::unique_ptr<Cache> make_cache(PolicyKind kind, std::uint64_t capacity,
     case PolicyKind::Lfu: return std::make_unique<LfuCache>(capacity);
     case PolicyKind::Fifo: return std::make_unique<FifoCache>(capacity);
     case PolicyKind::Random: return std::make_unique<RandomCache>(capacity, seed);
-    case PolicyKind::Infinite: return std::make_unique<InfiniteCache>();
   }
   throw std::invalid_argument("make_cache: unknown policy");
 }

@@ -1,13 +1,8 @@
-// FIFO, RANDOM, and unbounded caches.
-//
-// FIFO and RANDOM are ablation baselines (bench_ablation_policies); the
-// unbounded cache backs the paper's Inf-Budget reference point (Fig. 10)
-// and the origin servers' "very large cache" for owned objects (§4.1).
+// FIFO and RANDOM caches: ablation baselines (bench_ablation_policies).
 #pragma once
 
 #include <random>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -82,41 +77,6 @@ private:
   std::mt19937_64 rng_;
   std::vector<ObjectId> objects_;
   std::unordered_map<ObjectId, Member> members_;
-};
-
-/// Never evicts; capacity_units() reports a sentinel of UINT64_MAX.
-class InfiniteCache final : public Cache {
-public:
-  InfiniteCache() = default;
-
-  [[nodiscard]] bool lookup(ObjectId object) override {
-    return objects_.find(object) != objects_.end();
-  }
-  [[nodiscard]] bool contains(ObjectId object) const override {
-    return objects_.find(object) != objects_.end();
-  }
-  void insert(ObjectId object, std::uint64_t size,
-              std::vector<ObjectId>& /*evicted*/) override {
-    if (objects_.insert(object).second) used_ += size;
-  }
-  void erase(ObjectId object) override { objects_.erase(object); }
-  void copy_from(const Cache& source) override {
-    const InfiniteCache& other = same_policy<InfiniteCache>(source);
-    used_ = other.used_;
-    objects_ = other.objects_;
-  }
-
-  [[nodiscard]] std::size_t object_count() const noexcept override {
-    return objects_.size();
-  }
-  [[nodiscard]] std::uint64_t used_units() const noexcept override { return used_; }
-  [[nodiscard]] std::uint64_t capacity_units() const noexcept override {
-    return static_cast<std::uint64_t>(-1);
-  }
-
-private:
-  std::uint64_t used_ = 0;
-  std::unordered_set<ObjectId> objects_;
 };
 
 }  // namespace idicn::cache

@@ -69,20 +69,6 @@ DesignSpec double_budget_coop() {
   return d;
 }
 
-DesignSpec edge_infinite() {
-  DesignSpec d = edge();
-  d.name = "EDGE-Inf";
-  d.infinite_budget = true;
-  return d;
-}
-
-DesignSpec icn_nr_infinite() {
-  DesignSpec d = icn_nr();
-  d.name = "ICN-NR-Inf";
-  d.infinite_budget = true;
-  return d;
-}
-
 DesignSpec icn_scoped_nr(double radius) {
   DesignSpec d = icn_nr();
   d.name = "ICN-ScopedNR-" + std::to_string(static_cast<int>(radius));

@@ -8,7 +8,8 @@
 //   EDGE-Coop   — EDGE + sibling scoped lookup
 //   EDGE-Norm   — EDGE with budgets scaled so its total equals pervasive's
 // and the Figure-10 extensions (2-Levels, 2-Levels-Coop, Norm-Coop,
-// Double-Budget-Coop, Inf-Budget).
+// Double-Budget-Coop). Figure 10's Inf-Budget point is reported
+// analytically (bench_fig10_bridge_gap), so no design models it.
 #pragma once
 
 #include <string>
@@ -57,7 +58,6 @@ struct DesignSpec {
   bool sibling_cooperation = false;  ///< scoped lookup at the leaf's siblings
   BudgetScaling scaling = BudgetScaling::None;
   double extra_budget_multiplier = 1.0;  ///< applied after scaling
-  bool infinite_budget = false;          ///< every equipped node is unbounded
   cache::PolicyKind policy = cache::PolicyKind::Lru;
 
   CacheDecision cache_decision = CacheDecision::LeaveCopyEverywhere;
@@ -84,8 +84,6 @@ struct DesignSpec {
 [[nodiscard]] DesignSpec two_levels_coop();
 [[nodiscard]] DesignSpec norm_coop();
 [[nodiscard]] DesignSpec double_budget_coop();
-[[nodiscard]] DesignSpec edge_infinite();
-[[nodiscard]] DesignSpec icn_nr_infinite();
 
 // --- extension designs ---------------------------------------------------
 /// Pervasive caches, nearest replica only within `radius` of the leaf.

@@ -11,15 +11,14 @@
 //
 // Threading contract (see DESIGN.md §"Threading model"): a PerfCounters
 // instance is owned by exactly one thread — the thread running the
-// simulator, holder index, or hosted proxy that bumps it. The fields are
-// deliberately plain integers, not atomics: turning every hot-path bump
-// into a `lock add` would tax the very paths PR 1 optimized. Cross-thread
+// simulator or holder index that bumps it. The fields are deliberately
+// plain integers, not atomics: turning every hot-path bump into a
+// `lock add` would tax the very paths they measure. Cross-thread
 // aggregation happens only after the owning thread has been joined
-// (compare_designs merges per-worker metrics after the pool joins; the
-// runtime bench reads proxy.perf() after HostServer::stop()). Counters
-// that genuinely need live cross-thread sampling belong in an observer
-// Stats struct built on core::sync::RelaxedCounter instead (Proxy::Stats
-// mirrors the byte counters that way).
+// (compare_designs merges per-worker metrics after the pool joins).
+// Counters that need live cross-thread sampling belong in an observer
+// Stats struct built on core::sync::RelaxedCounter instead, as the socket
+// runtime's (Proxy::Stats and the rest) are.
 //
 // The IDICN_PERF_COUNTERS macro must not leak outside this header
 // (enforced by tools/lint/idicn_lint.py) — code that needs to branch on
@@ -49,10 +48,6 @@ struct PerfCounters {
   // --- Simulator decision loop ----------------------------------------
   std::uint64_t origin_cost_memo_hits = 0;  ///< origin distances answered from the memo
 
-  // --- idICN edge proxy (§6) -------------------------------------------
-  std::uint64_t proxy_bytes_served = 0;       ///< body bytes served to clients
-  std::uint64_t proxy_bytes_from_origin = 0;  ///< body bytes fetched upstream
-
   /// Increment `field` by `n`; compiles to nothing when the layer is off.
   inline void bump(std::uint64_t PerfCounters::*field, std::uint64_t n = 1) noexcept {
     if constexpr (kPerfCountersEnabled) this->*field += n;
@@ -69,8 +64,6 @@ struct PerfCounters {
     early_exits += other.early_exits;
     sorts_avoided += other.sorts_avoided;
     origin_cost_memo_hits += other.origin_cost_memo_hits;
-    proxy_bytes_served += other.proxy_bytes_served;
-    proxy_bytes_from_origin += other.proxy_bytes_from_origin;
   }
 
   void reset() noexcept { *this = PerfCounters{}; }

@@ -50,10 +50,6 @@ Simulator::Simulator(const topology::HierarchicalNetwork& network,
   caches_.resize(network_.node_count());
   for (GlobalNodeId n = 0; n < network_.node_count(); ++n) {
     if (!is_cache_site(n)) continue;
-    if (design_.infinite_budget) {
-      caches_[n] = cache::make_cache(cache::PolicyKind::Infinite, 0);
-      continue;
-    }
     const auto capacity = static_cast<std::uint64_t>(
         std::llround(static_cast<double>(plan.per_node[n]) * scale));
     if (capacity == 0) continue;  // a zero-budget site has no cache at all
@@ -284,7 +280,6 @@ void Simulator::prefill(const BoundWorkload& workload) {
       cache::Cache* cache = caches_[n].get();
       if (cache == nullptr) continue;
       const std::uint64_t capacity = cache->capacity_units();
-      if (capacity == static_cast<std::uint64_t>(-1)) continue;  // infinite: stays cold
 
       if (t != 0) {
         // Search from the back: this PoP's own group is usually the last.

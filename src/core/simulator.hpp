@@ -45,7 +45,7 @@ struct SimulationConfig {
   /// of the workload without recording metrics. Cold-start runs (both
   /// knobs off) heavily overstate the value of interior caches, because
   /// interior nodes aggregate request streams and warm much faster than
-  /// the edge. Infinite caches are never prefilled.
+  /// the edge.
   bool prefill = true;
   double warmup_fraction = 0.25;
 

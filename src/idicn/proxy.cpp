@@ -148,15 +148,6 @@ const Proxy::CacheShard& Proxy::shard_for(std::string_view host) const {
   return *shards_[std::hash<std::string_view>{}(host) % shards_.size()];
 }
 
-core::PerfCounters Proxy::perf() const {
-  core::PerfCounters merged;
-  for (const auto& shard : shards_) {
-    const core::sync::MutexLock lock(shard->mutex);
-    merged.merge(shard->perf);
-  }
-  return merged;
-}
-
 std::uint64_t Proxy::cached_bytes() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
@@ -237,7 +228,6 @@ IDICN_HOT_PATH net::HttpResponse Proxy::serve_entry(CacheShard& shard,
                                                     Entry& entry, bool hit,
                                                     bool full_metadata) {
   stats_.bytes_served += entry.body.size();
-  shard.perf.bump(&core::PerfCounters::proxy_bytes_served, entry.body.size());
   if (!hit) return entry_response(entry, false, full_metadata);
   touch(shard, entry);
   if (full_metadata) return entry_response(entry, true, true);
@@ -737,14 +727,12 @@ private:
       // content.
       fetch_failed_ = false;
       location_index_ = 0;
-      if (proxy_->options_.multi_source_fetch) {
-        // DESIGN.md §13: with ≥2 known replicas the fetch becomes a
-        // congestion-aware race instead of a serial ladder.
-        std::vector<net::Address> sources = multi_sources();
-        if (sources.size() >= 2) {
-          start_multi_fetch(std::move(sources));
-          return;
-        }
+      // DESIGN.md §13: with ≥2 known replicas the fetch becomes a
+      // congestion-aware race instead of a serial ladder.
+      std::vector<net::Address> sources = multi_sources();
+      if (sources.size() >= 2) {
+        start_multi_fetch(std::move(sources));
+        return;
       }
       fetch_next_location();
       return;
@@ -1008,9 +996,6 @@ private:
       // Sibling transfers stay inside the cache tier — only true upstream
       // (origin/mirror) fetches count toward origin byte load.
       proxy_->stats_.bytes_from_origin += sink.bytes();
-      const core::sync::MutexLock lock(shard.mutex);
-      shard.perf.bump(&core::PerfCounters::proxy_bytes_from_origin,
-                      sink.bytes());
     }
 
     Entry entry;

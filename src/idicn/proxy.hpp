@@ -36,10 +36,9 @@
 // private entries-map + LRU list + byte budget behind its own Mutex); shard
 // locks are never held across network I/O or a client respond — a stale
 // hit snapshots its validators, revalidates unlocked, then re-locks to
-// renew. Counters:
-// Stats is relaxed-atomic (live sampling from anywhere), PerfCounters are
-// per-shard plain integers bumped under the shard lock and merged by
-// perf(). add_peer() is setup-time only — call it before serving starts.
+// renew. Stats is relaxed-atomic, so any thread may sample it while
+// workers serve. add_peer() is setup-time only — call it before serving
+// starts.
 // cache_shards=1 (the default) keeps hit/eviction behavior byte-identical
 // to the single-threaded PR-3 proxy; with S shards each shard caches its
 // slice of the host space in capacity_bytes/S.
@@ -56,7 +55,6 @@
 #include <vector>
 
 #include "core/buffer.hpp"
-#include "core/perf_counters.hpp"
 #include "core/sync.hpp"
 #include "idicn/metalink.hpp"
 #include "idicn/name.hpp"
@@ -144,15 +142,15 @@ public:
     /// Stale-hint damage control: at most this many directory candidates
     /// are tried per miss before falling through to the NRS/origin path.
     std::size_t sibling_fanout = 2;
-    /// Congestion-aware multi-source MISS path (DESIGN.md §13): when a
-    /// name resolves to ≥2 distinct sources (NRS rows, metalink mirrors
-    /// remembered from an expired copy, the stale copy's origin), the
-    /// fetch races through a runtime::MultiSourceFetcher — RTT-ranked
-    /// replica choice, hedged requests past the straggler threshold,
-    /// parallel range legs on large objects — with the serial location
-    /// ladder as fallback, so availability never regresses.
-    bool multi_source_fetch = true;
-    runtime::MultiSourceFetcher::Options fetch;  ///< fetcher tuning knobs
+    /// Tuning of the congestion-aware multi-source MISS path (DESIGN.md
+    /// §13): when a name resolves to ≥2 distinct sources (NRS rows,
+    /// metalink mirrors remembered from an expired copy, the stale copy's
+    /// origin), the fetch races through a runtime::MultiSourceFetcher —
+    /// RTT-ranked replica choice, hedged requests past the straggler
+    /// threshold, parallel range legs on large objects — with the serial
+    /// location ladder as fallback, so availability never regresses. One
+    /// source takes the ladder alone.
+    runtime::MultiSourceFetcher::Options fetch;
   };
 
   Proxy(net::Transport* net, net::Address self, net::Address nrs,
@@ -215,11 +213,6 @@ public:
   [[nodiscard]] runtime::MultiSourceFetcher& fetcher() noexcept {
     return *fetcher_;
   }
-  /// Hot-path counters (byte throughput mirrors of Stats); zero-valued
-  /// when the perf-counter layer is compiled out. Returns a merged
-  /// snapshot of the per-shard counters (each shard locked in turn), safe
-  /// from any thread while workers serve.
-  [[nodiscard]] core::PerfCounters perf() const;
   [[nodiscard]] std::uint64_t cached_bytes() const;
   [[nodiscard]] std::size_t cached_objects() const;
   [[nodiscard]] bool is_cached(const std::string& host) const;
@@ -276,7 +269,6 @@ private:
     std::map<std::string, std::shared_ptr<detail::Transit>> transit
         IDICN_GUARDED_BY(mutex);
     std::uint64_t used_bytes IDICN_GUARDED_BY(mutex) = 0;
-    core::PerfCounters perf IDICN_GUARDED_BY(mutex);
     std::uint64_t capacity_bytes = 0;  ///< this shard's slice; construction-time
   };
 

@@ -48,11 +48,6 @@ std::uint64_t FaultInjector::add_degradation(Degradation schedule) {
   return id;
 }
 
-void FaultInjector::clear_degradations() {
-  const core::sync::MutexLock lock(mutex_);
-  degradations_.clear();
-}
-
 std::uint64_t FaultInjector::ramp_latency_ms(const Degradation& spec,
                                              std::uint64_t n) {
   if (n < spec.ramp_start || n >= spec.hold_until) return 0;

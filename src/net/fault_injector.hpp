@@ -130,10 +130,9 @@ public:
   void clear_rules() IDICN_EXCLUDES(mutex_);
 
   /// Install a degradation schedule (latency ramp); ids share the rule id
-  /// space and work with remove_rule / set_enabled / clear via
-  /// clear_degradations. Multiple matching schedules stack additively.
+  /// space and work with remove_rule / set_enabled. Multiple matching
+  /// schedules stack additively.
   std::uint64_t add_degradation(Degradation schedule) IDICN_EXCLUDES(mutex_);
-  void clear_degradations() IDICN_EXCLUDES(mutex_);
 
   /// Run every stall through `hook` instead of a timer or a sleep (e.g.
   /// advance a SimNet virtual clock). Install before traffic flows.

@@ -675,11 +675,6 @@ std::vector<net::Address> MultiSourceFetcher::rank(
   return ranked;
 }
 
-std::uint64_t MultiSourceFetcher::rtt_p95_us(const net::Address& address) {
-  const MutexLock lock(mutex_);
-  return dest_locked(address).est.quantile_us(options_.hedge_quantile);
-}
-
 std::vector<MultiSourceFetcher::SourceSnapshot> MultiSourceFetcher::snapshot() {
   const std::uint64_t now = net_->now_ms();
   std::vector<SourceSnapshot> out;

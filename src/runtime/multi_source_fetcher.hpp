@@ -159,11 +159,6 @@ class MultiSourceFetcher {
   [[nodiscard]] std::vector<net::Address> rank(std::vector<net::Address> sources)
       IDICN_EXCLUDES(mutex_);
 
-  /// p95 RTT estimate for one destination (options.rtt.initial_rtt_us when
-  /// unmeasured) — exported per-dest as `rtt_p95_us` in the bench.
-  [[nodiscard]] std::uint64_t rtt_p95_us(const net::Address& dest)
-      IDICN_EXCLUDES(mutex_);
-
   [[nodiscard]] std::vector<SourceSnapshot> snapshot() IDICN_EXCLUDES(mutex_);
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] double hedge_tokens() { return hedge_budget_.tokens(); }

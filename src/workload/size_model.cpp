@@ -15,13 +15,6 @@ std::string to_string(SizeModelKind kind) {
   return "unknown";
 }
 
-std::optional<SizeModelKind> parse_size_model_kind(std::string_view text) {
-  if (text == "unit") return SizeModelKind::Unit;
-  if (text == "lognormal") return SizeModelKind::LogNormal;
-  if (text == "pareto") return SizeModelKind::Pareto;
-  return std::nullopt;
-}
-
 SizeModel::SizeModel(SizeModelKind kind, double mean) : kind_(kind), mean_(mean) {
   if (mean < 1.0) throw std::invalid_argument("SizeModel: mean must be >= 1");
 }

@@ -8,10 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <random>
 #include <string>
-#include <string_view>
 
 namespace idicn::workload {
 
@@ -22,12 +20,6 @@ enum class SizeModelKind {
 };
 
 [[nodiscard]] std::string to_string(SizeModelKind kind);
-
-/// Inverse of to_string: "unit" | "lognormal" | "pareto" (exact match).
-/// Returns std::nullopt for anything else — callers (bench knobs) decide
-/// whether that is a usage error or a fallback to Unit.
-[[nodiscard]] std::optional<SizeModelKind> parse_size_model_kind(
-    std::string_view text);
 
 class SizeModel {
 public:

@@ -206,7 +206,7 @@ TEST(FifoCache, EraseThenReinsertGetsFreshPosition) {
   EXPECT_TRUE(cache->contains(1));
 }
 
-// --- RANDOM / INFINITE ----------------------------------------------------
+// --- RANDOM ----------------------------------------------------------------
 
 TEST(RandomCache, EvictsSomethingDeterministically) {
   auto a = make_cache(PolicyKind::Random, 3, 42);
@@ -217,15 +217,6 @@ TEST(RandomCache, EvictsSomethingDeterministically) {
     EXPECT_EQ(ea, eb);  // same seed, same victims
   }
   EXPECT_EQ(a->object_count(), 3u);
-}
-
-TEST(InfiniteCache, NeverEvicts) {
-  auto cache = make_cache(PolicyKind::Infinite, 0);
-  for (ObjectId o = 0; o < 10000; ++o) {
-    EXPECT_TRUE(insert(*cache, o).empty());
-  }
-  EXPECT_EQ(cache->object_count(), 10000u);
-  EXPECT_TRUE(cache->contains(1234));
 }
 
 // --- generic invariants across bounded policies ----------------------------
@@ -392,7 +383,7 @@ TEST_P(CopyFrom, CopyDrivesLikeTheInsertPath) {
   // Every other policy, bare or behind a doorkeeper, is a mismatch: the
   // call throws and B keeps A's state, which the op stream then checks.
   for (const PolicyKind kind : {PolicyKind::Lru, PolicyKind::Lfu, PolicyKind::Fifo,
-                                PolicyKind::Random, PolicyKind::Infinite}) {
+                                PolicyKind::Random}) {
     for (const bool doorkeeper : {false, true}) {
       if (kind == GetParam().kind && doorkeeper == GetParam().doorkeeper) continue;
       auto other = make_copy_case(CopyCase{kind, doorkeeper}, kCapacity, 3);
@@ -429,7 +420,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CopyCase{PolicyKind::Lru, false}, CopyCase{PolicyKind::Lfu, false},
                       CopyCase{PolicyKind::Fifo, false},
                       CopyCase{PolicyKind::Random, false},
-                      CopyCase{PolicyKind::Infinite, false},
                       CopyCase{PolicyKind::Lru, true}),
     [](const auto& info) {
       return to_string(info.param.kind) + (info.param.doorkeeper ? "_Doorkeeper" : "");

@@ -537,7 +537,6 @@ struct TailRun {
 void run_latency_ramp_sweep(bool hedging, int objects, TailRun* out) {
   Proxy::Options popt = ChaosDeployment::proxy_options(/*freshness_ms=*/60'000,
                                                        /*shards=*/2);
-  popt.multi_source_fetch = true;
   popt.fetch.hedging_enabled = hedging;
   // Well above the healthy RTT, far below the injected stall: the timer
   // only fires for genuine stragglers, never for the healthy replica.
@@ -591,11 +590,10 @@ void run_latency_ramp_sweep(bool hedging, int objects, TailRun* out) {
 }
 
 TEST(ChaosE2e, HedgingBoundsMissTailUnderLatencyRampedReplica) {
-  // The ISSUE's acceptance leg: under an injected straggler (latency step
-  // on one of two replicas), MISS-path p99 with hedging must be at least
-  // 2× lower than without, and hedge duplicates must stay inside the
-  // retry-budget ratio. The bench's latency-tail leg measures the same
-  // schedule; this is the asserted (with slack) version.
+  // The latency-tail gate: under an injected straggler (latency step on
+  // one of two replicas), MISS-path p99 with hedging must be at least 2×
+  // lower than without, and hedge duplicates must stay inside the
+  // retry-budget ratio (10 + 0.1 · fetches at the RetryBudget defaults).
   const int kObjects = 40;
   TailRun unhedged;
   TailRun hedged;

@@ -53,7 +53,6 @@ TEST(DesignFactories, NamesEncodeParameters) {
   EXPECT_EQ(icn_sp_prob(0.25).name, "ICN-SP-Prob25");
   EXPECT_EQ(edge_partial(0.5).name, "EDGE-50pct");
   EXPECT_EQ(icn_sp_lcd().cache_decision, CacheDecision::LeaveCopyDown);
-  EXPECT_TRUE(edge_infinite().infinite_budget);
   EXPECT_DOUBLE_EQ(no_cache().extra_budget_multiplier, 0.0);
 }
 

@@ -597,12 +597,13 @@ TEST(MultiSourceFetch, RankPrefersMeasuredFastReplicaAndDemotesKarnLosers) {
 
   EXPECT_EQ(fetcher.rank({"a.svc", "b.svc"}),
             (std::vector<net::Address>{"b.svc", "a.svc"}));
-  EXPECT_EQ(fetcher.rtt_p95_us("b.svc"), 10'000u);
 
   // Two hedge losses double b.svc's ranking RTT twice: 40ms still beats
   // the 50ms default, a third pushes it to 80ms and behind a.svc.
-  const auto snap_before = fetcher.snapshot();
+  const auto snap_before = fetcher.snapshot();  // sorted by address
   ASSERT_EQ(snap_before.size(), 2u);
+  EXPECT_EQ(snap_before[1].address, "b.svc");
+  EXPECT_EQ(snap_before[1].rtt_p95_us, 10'000u);
   // (note_straggler is internal; emulate via the public race — simplest is
   // ranking math on the estimator directly.)
   RttEstimator est;

@@ -8,8 +8,10 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "runtime/http_client.hpp"
 #include "runtime/socket_net.hpp"
 #include "runtime/tcp.hpp"
+#include "workload/size_model.hpp"
 
 namespace {
 
@@ -35,7 +38,8 @@ using namespace ::idicn::idicn;
 /// The single-AD deployment of test_idicn_flow, but socketed: one server
 /// per host, real TCP ports, one SocketNet carrying the upstream mesh.
 /// `proxy_workers` > 1 turns the edge proxy into a multi-reactor
-/// ServerGroup (with a matching number of content-store lock stripes).
+/// ServerGroup (with a matching number of content-store lock stripes), each
+/// stripe caching up to capacity_bytes / proxy_workers.
 struct SocketDeployment {
   runtime::SocketNet net;
   net::DnsService dns;
@@ -57,9 +61,12 @@ struct SocketDeployment {
     return options;
   }
 
-  explicit SocketDeployment(std::size_t proxy_workers = 1)
+  explicit SocketDeployment(
+      std::size_t proxy_workers = 1,
+      std::uint64_t capacity_bytes = Proxy::Options{}.capacity_bytes)
       : proxy{&net, "cache.ad1", "nrs.consortium", &dns,
-              Proxy::Options{.cache_shards = proxy_workers}},
+              Proxy::Options{.capacity_bytes = capacity_bytes,
+                             .cache_shards = proxy_workers}},
         proxy_server{&proxy, "cache.ad1", worker_options(proxy_workers)} {
     nrs_server.start();
     origin_server.start();
@@ -205,14 +212,50 @@ std::size_t e2e_proxy_workers() {
   return 4;
 }
 
-TEST(RuntimeE2e, MultiWorkerProxyServesConcurrentKeepAliveClients) {
+/// Bytes that depend on their position (the top byte of a Fibonacci hash
+/// of it), so a dropped, repeated or reordered chunk cannot compare equal.
+std::string position_dependent_bytes(std::size_t size) {
+  std::string bytes(size, '\0');
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<char>((static_cast<std::uint32_t>(i) * 0x9e3779b1u) >> 24);
+  }
+  return bytes;
+}
+
+/// 16 bodies with Pareto sizes of mean 64 KB from a fixed seed (22 KB to
+/// 165 KB, 679 KB in all): each arrives, streams to joiners and is served
+/// from the cache as many chunks, not one.
+std::vector<std::string> heavy_tailed_bodies() {
+  const workload::SizeModel sizes(workload::SizeModelKind::Pareto, 65536);
+  std::mt19937_64 rng(0x1d1c4u);
+  std::vector<std::string> bodies;
+  for (int k = 0; k < 16; ++k) {
+    bodies.push_back(
+        position_dependent_bytes(static_cast<std::size_t>(sizes.sample(rng))));
+  }
+  return bodies;
+}
+
+/// Publishes `bodies` through a proxy of e2e_proxy_workers() workers whose
+/// every lock stripe can hold the whole catalog, then has 4 keep-alive
+/// clients, each on its own connection, fetch object (i + c) % size for
+/// i < 50 and compare every answer with the published bytes. A client's
+/// first fetch of an object MISSes or joins an in-flight fetch (STREAM);
+/// every later one must HIT.
+void serve_catalog_to_concurrent_clients(const std::vector<std::string>& bodies) {
   const std::size_t workers = e2e_proxy_workers();
-  SocketDeployment d(workers);
+  std::uint64_t catalog_bytes = 0;
+  for (const std::string& body : bodies) catalog_bytes += body.size();
+  SocketDeployment d(workers, workers * catalog_bytes);
   ASSERT_EQ(d.proxy_server.worker_count(), workers);
   // publish() goes through run_on_loop — the all-workers rendezvous — so
   // this also exercises the exclusivity door at full worker count.
-  const SelfCertifyingName alpha = d.publish("alpha", "body-alpha");
-  const SelfCertifyingName beta = d.publish("beta", "body-beta");
+  std::vector<std::string> targets;
+  for (std::size_t k = 0; k < bodies.size(); ++k) {
+    const SelfCertifyingName name =
+        d.publish("object-" + std::to_string(k), bodies[k]);
+    targets.push_back("http://" + name.host() + "/");
+  }
 
   constexpr int kClients = 4;
   constexpr int kRequestsPerClient = 50;
@@ -224,12 +267,10 @@ TEST(RuntimeE2e, MultiWorkerProxyServesConcurrentKeepAliveClients) {
       clients.emplace_back([&, c] {
         runtime::HttpClient browser("127.0.0.1", d.proxy_server.port());
         for (int i = 0; i < kRequestsPerClient; ++i) {
-          const bool even = (i + c) % 2 == 0;
-          const SelfCertifyingName& name = even ? alpha : beta;
-          const std::string expected = even ? "body-alpha" : "body-beta";
-          const auto response = browser.get("http://" + name.host() + "/");
+          const std::size_t k = static_cast<std::size_t>(i + c) % bodies.size();
+          const auto response = browser.get(targets[k]);
           if (!response || response->status != 200 ||
-              response->body != expected) {
+              response->body != bodies[k]) {
             failures.fetch_add(1);
           }
         }
@@ -239,6 +280,7 @@ TEST(RuntimeE2e, MultiWorkerProxyServesConcurrentKeepAliveClients) {
 
   constexpr std::uint64_t kTotal =
       static_cast<std::uint64_t>(kClients) * kRequestsPerClient;
+  const std::uint64_t objects = bodies.size();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(d.proxy_server.stats().requests_served, kTotal);
   EXPECT_EQ(d.proxy_server.stats().connections_accepted,
@@ -250,9 +292,21 @@ TEST(RuntimeE2e, MultiWorkerProxyServesConcurrentKeepAliveClients) {
   const std::uint64_t hits = d.proxy.stats().hits.value();
   const std::uint64_t misses = d.proxy.stats().misses.value();
   EXPECT_EQ(hits + misses + d.proxy.stats().stream_joins.value(), kTotal);
-  EXPECT_GE(misses, 2u);  // two distinct objects
-  EXPECT_GE(hits, kTotal - 2u * kClients);
+  EXPECT_GE(misses, objects);
+  EXPECT_GE(hits, kTotal - objects * kClients);
+  EXPECT_EQ(d.proxy.stats().evictions, 0u);
   EXPECT_EQ(d.proxy.stats().verification_failures, 0u);
+}
+
+TEST(RuntimeE2e, MultiWorkerProxyServesConcurrentKeepAliveClients) {
+  {
+    SCOPED_TRACE("unit-size catalog");
+    serve_catalog_to_concurrent_clients({"body-alpha", "body-beta"});
+  }
+  {
+    SCOPED_TRACE("heavy-tailed catalog");
+    serve_catalog_to_concurrent_clients(heavy_tailed_bodies());
+  }
 }
 
 TEST(RuntimeE2e, MultiWorkerProxyAnswersPipelinedBurstsInOrder) {

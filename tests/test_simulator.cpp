@@ -210,18 +210,6 @@ TEST(Simulator, ServingCapacityWorksWithNearestReplica) {
   EXPECT_EQ(m.cache_hits + m.total_origin_served, m.request_count);
 }
 
-TEST(Simulator, InfiniteBudgetColdRunNeverEvicts) {
-  Fixture f(10'000, 1'000);
-  SimulationConfig config = f.config;
-  config.prefill = false;  // infinite caches are never prefilled anyway
-  Simulator sim(f.network, f.origins, edge_infinite(), config);
-  const SimulationMetrics m = sim.run(f.workload);
-  EXPECT_GT(m.cache_hits, 0u);
-  const auto* cache = sim.cache_at(f.network.leaf(0, 0));
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->capacity_units(), static_cast<std::uint64_t>(-1));
-}
-
 TEST(Simulator, HeterogeneousSizesRespectByteBudgets) {
   topology::HierarchicalNetwork network(topology::make_abilene(),
                                         topology::AccessTreeShape(2, 3));

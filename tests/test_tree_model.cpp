@@ -3,9 +3,6 @@
 // qualitative level-profile claims.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "analysis/stats.hpp"
 #include "analysis/tree_model.hpp"
 #include "workload/zipf.hpp"
 
@@ -225,25 +222,6 @@ TEST(BudgetAllocation, RequiresSortedProbabilities) {
   const std::vector<double> p = {0.1, 0.9};
   const TreeCacheOptimizer optimizer(AccessTreeShape(2, 1), p, 1);
   EXPECT_THROW((void)optimizer.optimize_level_budgets(4), std::logic_error);
-}
-
-// --- stats helpers ----------------------------------------------------------
-
-TEST(Stats, Summarize) {
-  const std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
-  const Summary s = summarize(values);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stdev, std::sqrt(1.25), 1e-12);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_EQ(summarize({}).count, 0u);
-}
-
-TEST(Stats, ImprovementPct) {
-  EXPECT_DOUBLE_EQ(improvement_pct(10.0, 5.0), 50.0);
-  EXPECT_DOUBLE_EQ(improvement_pct(10.0, 12.0), -20.0);
-  EXPECT_DOUBLE_EQ(improvement_pct(0.0, 5.0), 0.0);
 }
 
 }  // namespace
