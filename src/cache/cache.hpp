@@ -49,6 +49,12 @@ public:
   /// nearest-replica holder index — can observe them). Inserting an object
   /// already present only refreshes its policy state. Objects larger than
   /// the total capacity are not admitted.
+  ///
+  /// LRU keeps each entry in 16 bytes, which sets two preconditions: the
+  /// id is not std::numeric_limits<ObjectId>::max() (it marks an empty
+  /// bucket), and the size is below 2^32. A call that breaks either
+  /// throws std::invalid_argument before any change, a refresh included.
+  /// lookup, contains and erase take that id as an absent object.
   virtual void insert(ObjectId object, std::uint64_t size,
                       std::vector<ObjectId>& evicted) = 0;
 

@@ -1,157 +1,167 @@
 #include "cache/lru_cache.hpp"
 
-#include <bit>
+#include <stdexcept>
 
 namespace idicn::cache {
 namespace {
 
-constexpr unsigned kInitialTableBits = 3;
+constexpr std::size_t kInitialBuckets = 8;
+
+// The load bound, 3/4: the table keeps at least 4 buckets per 3 entries.
+constexpr std::size_t kLoadNumerator = 3;
+constexpr std::size_t kLoadDenominator = 4;
+
+/// The fewest buckets that hold `objects` entries within the load bound.
+constexpr std::size_t buckets_for(std::size_t objects) {
+  return (objects * kLoadDenominator + kLoadNumerator - 1) / kLoadNumerator;
+}
+
+/// The bucket after `bucket`, wrapping around a table of `buckets`.
+constexpr std::size_t next_bucket(std::size_t bucket, std::size_t buckets) {
+  return bucket + 1 == buckets ? 0 : bucket + 1;
+}
 
 }  // namespace
 
 LruCache::LruCache(std::uint64_t capacity)
-    : capacity_(capacity),
-      table_(std::size_t{1} << kInitialTableBits, kNil),
-      table_shift_(64 - kInitialTableBits) {}
+    : capacity_(capacity), table_(kInitialBuckets) {}
 
-void LruCache::unlink(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  if (s.prev != kNil) {
-    slots_[s.prev].next = s.next;
+void LruCache::unlink(std::uint32_t bucket) noexcept {
+  Entry& e = table_[bucket];
+  if (e.prev != kNil) {
+    table_[e.prev].next = e.next;
   } else {
-    head_ = s.next;
+    head_ = e.next;
   }
-  if (s.next != kNil) {
-    slots_[s.next].prev = s.prev;
+  if (e.next != kNil) {
+    table_[e.next].prev = e.prev;
   } else {
-    tail_ = s.prev;
+    tail_ = e.prev;
   }
-  s.prev = s.next = kNil;
+  e.prev = e.next = kNil;
 }
 
-void LruCache::link_front(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  s.prev = kNil;
-  s.next = head_;
-  if (head_ != kNil) slots_[head_].prev = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
+void LruCache::link_front(std::uint32_t bucket) noexcept {
+  Entry& e = table_[bucket];
+  e.prev = kNil;
+  e.next = head_;
+  if (head_ != kNil) table_[head_].prev = bucket;
+  head_ = bucket;
+  if (tail_ == kNil) tail_ = bucket;
 }
 
 std::size_t LruCache::home_of(ObjectId object) const noexcept {
-  // Fibonacci hashing: the top bits of the product spread dense ids.
-  return static_cast<std::size_t>((object * 0x9e3779b97f4a7c15ULL) >> table_shift_);
+  // Fibonacci hashing spreads dense ids over the top bits of the product;
+  // a multiply-shift maps its top 32 bits onto [0, table size).
+  const std::uint64_t hash = (object * 0x9e3779b97f4a7c15ULL) >> 32;
+  return static_cast<std::size_t>((hash * table_.size()) >> 32);
 }
 
 std::size_t LruCache::find_bucket(ObjectId object) const noexcept {
-  const std::size_t mask = table_.size() - 1;
+  const std::size_t buckets = table_.size();
   std::size_t bucket = home_of(object);
-  while (table_[bucket] != kNil && slots_[table_[bucket]].object != object) {
-    bucket = (bucket + 1) & mask;
+  while (table_[bucket].object != kEmpty && table_[bucket].object != object) {
+    bucket = next_bucket(bucket, buckets);
   }
   return bucket;
 }
 
-void LruCache::erase_bucket(std::size_t bucket) noexcept {
-  const std::size_t mask = table_.size() - 1;
+void LruCache::remove_bucket(std::uint32_t bucket) noexcept {
+  unlink(bucket);
+  --count_;
+  const std::size_t buckets = table_.size();
+  const auto distance = [buckets](std::size_t from, std::size_t to) {
+    return to >= from ? to - from : to + buckets - from;
+  };
   std::size_t hole = bucket;
-  for (std::size_t j = (bucket + 1) & mask; table_[j] != kNil; j = (j + 1) & mask) {
+  for (std::size_t j = next_bucket(hole, buckets); table_[j].object != kEmpty;
+       j = next_bucket(j, buckets)) {
     // The entry at j may fill the hole unless its home lies cyclically in
     // (hole, j]: then moving it would put it before its home.
-    const std::size_t home = home_of(slots_[table_[j]].object);
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      table_[hole] = table_[j];
-      hole = j;
-    }
+    if (distance(home_of(table_[j].object), j) < distance(hole, j)) continue;
+    const Entry& moved = table_[hole] = table_[j];
+    const auto to = static_cast<std::uint32_t>(hole);
+    (moved.prev != kNil ? table_[moved.prev].next : head_) = to;
+    (moved.next != kNil ? table_[moved.next].prev : tail_) = to;
+    hole = j;
   }
-  table_[hole] = kNil;
+  table_[hole] = Entry{};
 }
 
-void LruCache::resize_table(std::size_t buckets) {
-  std::vector<std::uint32_t> old(buckets, kNil);
-  old.swap(table_);  // table_ is now the empty resized table
-  table_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
-  const std::size_t mask = table_.size() - 1;
-  for (const std::uint32_t slot : old) {
-    if (slot == kNil) continue;
-    std::size_t bucket = home_of(slots_[slot].object);
-    while (table_[bucket] != kNil) bucket = (bucket + 1) & mask;
-    table_[bucket] = slot;
+void LruCache::rebuild(std::size_t buckets) {
+  if (buckets > kNil) throw std::length_error("LruCache: index table too large");
+  std::vector<Entry> old(buckets);
+  old.swap(table_);  // table_ is now the empty rebuilt table
+  std::uint32_t from = tail_;
+  head_ = tail_ = kNil;
+  while (from != kNil) {
+    const Entry& entry = old[from];
+    const auto bucket = static_cast<std::uint32_t>(find_bucket(entry.object));
+    table_[bucket].object = entry.object;
+    table_[bucket].size = entry.size;
+    link_front(bucket);
+    from = entry.prev;
   }
 }
 
 bool LruCache::lookup(ObjectId object) {
-  const std::uint32_t slot = table_[find_bucket(object)];
-  if (slot == kNil) return false;
-  if (head_ != slot) {
-    unlink(slot);
-    link_front(slot);
+  const auto bucket = static_cast<std::uint32_t>(find_bucket(object));
+  if (table_[bucket].object == kEmpty) return false;
+  if (head_ != bucket) {
+    unlink(bucket);
+    link_front(bucket);
   }
   return true;
 }
 
 bool LruCache::contains(ObjectId object) const {
-  return table_[find_bucket(object)] != kNil;
+  return table_[find_bucket(object)].object != kEmpty;
 }
 
 void LruCache::evict_lru(std::vector<ObjectId>& evicted) {
   const std::uint32_t victim = tail_;
-  Slot& s = slots_[victim];
-  used_ -= s.size;
-  evicted.push_back(s.object);
-  erase_bucket(find_bucket(s.object));
-  unlink(victim);
-  free_slots_.push_back(victim);
+  used_ -= table_[victim].size;
+  evicted.push_back(table_[victim].object);
+  remove_bucket(victim);
 }
 
 void LruCache::insert(ObjectId object, std::uint64_t size,
                       std::vector<ObjectId>& evicted) {
+  if (object == kEmpty) throw std::invalid_argument("LruCache::insert: reserved object id");
+  if (size > kMaxSize) throw std::invalid_argument("LruCache::insert: size over 32 bits");
   if (lookup(object)) return;  // refresh; sizes are immutable per object
   if (size > capacity_) return;  // cannot ever fit
 
   while (used_ + size > capacity_) evict_lru(evicted);
-
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot] = Slot{object, size, kNil, kNil};
-  link_front(slot);
-  if (2 * object_count() > table_.size()) resize_table(table_.size() * 2);
-  table_[find_bucket(object)] = slot;
+  if (buckets_for(count_ + 1) > table_.size()) rebuild(2 * table_.size());
+  const auto bucket = static_cast<std::uint32_t>(find_bucket(object));
+  table_[bucket].object = object;
+  table_[bucket].size = static_cast<std::uint32_t>(size);
+  link_front(bucket);
+  ++count_;
   used_ += size;
 }
 
 void LruCache::erase(ObjectId object) {
-  const std::size_t bucket = find_bucket(object);
-  const std::uint32_t slot = table_[bucket];
-  if (slot == kNil) return;
-  used_ -= slots_[slot].size;
-  erase_bucket(bucket);
-  unlink(slot);
-  free_slots_.push_back(slot);
+  const auto bucket = static_cast<std::uint32_t>(find_bucket(object));
+  if (table_[bucket].object == kEmpty) return;
+  used_ -= table_[bucket].size;
+  remove_bucket(bucket);
 }
 
 void LruCache::presize(std::size_t objects) {
-  slots_.reserve(objects);
-  const std::size_t buckets = std::bit_ceil(2 * objects);
-  if (buckets > table_.size()) resize_table(buckets);
+  const std::size_t buckets = buckets_for(objects);
+  if (buckets > table_.size()) rebuild(buckets);
 }
 
 void LruCache::copy_from(const Cache& source) {
   const LruCache& other = same_policy<LruCache>(source);
+  table_ = other.table_;
   capacity_ = other.capacity_;
   used_ = other.used_;
-  slots_ = other.slots_;
-  free_slots_ = other.free_slots_;
+  count_ = other.count_;
   head_ = other.head_;
   tail_ = other.tail_;
-  table_ = other.table_;
-  table_shift_ = other.table_shift_;
 }
 
 }  // namespace idicn::cache

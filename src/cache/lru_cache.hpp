@@ -1,17 +1,23 @@
 // LRU cache — the paper's baseline replacement policy.
 //
-// Objects live in slots of a contiguous vector, threaded on an intrusive
-// doubly-linked recency list (head = most recent). The index from object id
-// to slot is a flat open-addressing table of slot indices: power-of-two
-// size, linear probing from a multiplicative hash, load kept at or below
-// 1/2 by doubling, and backward-shift deletion, so no tombstones build up
-// under eviction churn. All operations are O(1) expected; the hot path
-// allocates nothing after warm-up (the slot vector, free list and table
-// only grow). presize(n) reserves n slots and allocates the table at the
-// size doubling would reach for n objects, the smallest power of two
-// >= 2n, in one step.
+// Entries live in the index itself: one flat open-addressing table of
+// 16-byte entries {object, size, prev, next}, whose prev/next fields
+// thread the recency list (head = most recent) through bucket indices.
+// Lookups probe linearly from a multiplicative hash that a multiply-shift
+// maps onto the table, so the table may have any size; doubling keeps the
+// load at or below 3/4. Deletion shifts later entries of the probe run
+// back (no tombstones build up under eviction churn) and re-points the
+// list neighbours of every entry it moves. Growth rebuilds the table by
+// walking the list oldest-first, so recency order carries over.
+// presize(n) allocates, in one step, the fewest buckets that hold n
+// objects within that load. All operations are O(1) expected; the hot path
+// allocates nothing once the table has grown.
+//
+// The entry layout sets insert's preconditions (cache.hpp): kEmpty marks
+// an empty bucket, so it is no object's id, and a size must fit 32 bits.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -30,45 +36,46 @@ public:
   void presize(std::size_t objects) override;
   void copy_from(const Cache& source) override;
 
-  [[nodiscard]] std::size_t object_count() const noexcept override {
-    return slots_.size() - free_slots_.size();
-  }
+  [[nodiscard]] std::size_t object_count() const noexcept override { return count_; }
   [[nodiscard]] std::uint64_t used_units() const noexcept override { return used_; }
   [[nodiscard]] std::uint64_t capacity_units() const noexcept override {
     return capacity_;
   }
 
 private:
-  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+  /// The id that marks an empty bucket; insert refuses it.
+  static constexpr ObjectId kEmpty = std::numeric_limits<ObjectId>::max();
+  /// The largest size an entry holds; insert refuses larger ones.
+  static constexpr std::uint64_t kMaxSize = std::numeric_limits<std::uint32_t>::max();
+  /// No bucket: the end of the recency list.
+  static constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
 
-  struct Slot {
-    ObjectId object = 0;
-    std::uint64_t size = 0;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
+  struct Entry {
+    ObjectId object = kEmpty;
+    std::uint32_t size = 0;
+    std::uint32_t prev = kNil;  // more recent neighbour's bucket
+    std::uint32_t next = kNil;  // less recent neighbour's bucket
   };
+  static_assert(sizeof(Entry) == 16);
 
-  void unlink(std::uint32_t slot) noexcept;
-  void link_front(std::uint32_t slot) noexcept;
+  void unlink(std::uint32_t bucket) noexcept;
+  void link_front(std::uint32_t bucket) noexcept;
   void evict_lru(std::vector<ObjectId>& evicted);
 
-  // --- index: table_[i] is a slot index, or kNil for an empty bucket ------
   [[nodiscard]] std::size_t home_of(ObjectId object) const noexcept;
   /// The bucket holding `object`, or the empty bucket ending its probe run.
   [[nodiscard]] std::size_t find_bucket(ObjectId object) const noexcept;
-  /// Empty `bucket`, shifting later entries of its probe run back.
-  void erase_bucket(std::size_t bucket) noexcept;
-  /// Rehash every entry into a fresh table of `buckets` (a power of two).
-  void resize_table(std::size_t buckets);
+  /// Unlink and empty `bucket`, shifting later entries of its probe run back.
+  void remove_bucket(std::uint32_t bucket) noexcept;
+  /// Re-enter every entry into a fresh table of `buckets`, oldest first.
+  void rebuild(std::size_t buckets);
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  std::size_t count_ = 0;
+  std::vector<Entry> table_;
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used
-  std::vector<std::uint32_t> table_;
-  unsigned table_shift_ = 0;  // 64 − log2(table_.size())
 };
 
 }  // namespace idicn::cache

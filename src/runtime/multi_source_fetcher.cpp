@@ -721,9 +721,7 @@ std::size_t MultiSourceFetcher::pick_primary(
     if (dest_locked(ranked[i]).breaker.state(now) !=
         CircuitBreaker::State::Open) {
       // Every healthy source is over its window: the primary is admitted
-      // anyway (the proxy bounds its own concurrency) but counted, so the
-      // bench can see sustained over-budget pressure.
-      ++stats_.window_deferrals;
+      // anyway (the proxy bounds its own concurrency).
       return i;
     }
   }
@@ -763,8 +761,7 @@ std::size_t MultiSourceFetcher::pick_leg_source(
     if (dest_locked(ranked[i]).breaker.state(now) !=
         CircuitBreaker::State::Open) {
       // Capacity-starved but healthy: admit (a stalled leg would wedge the
-      // in-order join) and record the pressure.
-      ++stats_.window_deferrals;
+      // in-order join).
       cursor = (i + 1) % ranked.size();
       return i;
     }

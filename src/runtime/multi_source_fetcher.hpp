@@ -102,7 +102,6 @@ class MultiSourceFetcher {
     core::sync::RelaxedCounter source_failovers;   ///< serial next-source moves
     core::sync::RelaxedCounter range_fetches;      ///< objects fetched split
     core::sync::RelaxedCounter range_failovers;    ///< legs re-aimed after faults
-    core::sync::RelaxedCounter window_deferrals;   ///< primaries admitted over budget
   };
 
   /// Outcome metadata delivered alongside the final head: which replica

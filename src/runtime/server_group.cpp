@@ -903,12 +903,7 @@ void ServerGroup::stop() {
   for (auto& worker : workers_) worker->shutdown();
   {
     const core::sync::MutexLock lock(lifecycle_mutex_);
-    retired_worker_stats_.clear();
-    for (auto& worker : workers_) {
-      const Stats part = worker->stats();
-      accumulate(retired_total_, part);
-      retired_worker_stats_.push_back(part);
-    }
+    for (auto& worker : workers_) accumulate(retired_total_, worker->stats());
     workers_.clear();
   }
   next_worker_.store(0, std::memory_order_relaxed);
@@ -980,17 +975,10 @@ ServerGroup::Stats ServerGroup::stats() const {
 
 ServerGroup::Stats ServerGroup::worker_stats(std::size_t worker) const {
   const core::sync::MutexLock lock(lifecycle_mutex_);
-  if (!workers_.empty()) {
-    if (worker >= workers_.size()) {
-      throw std::out_of_range("ServerGroup::worker_stats: no such worker");
-    }
-    return workers_[worker]->stats();
-  }
-  // Stopped: answer from the last run's retirement snapshot.
-  if (worker >= retired_worker_stats_.size()) {
+  if (worker >= workers_.size()) {
     throw std::out_of_range("ServerGroup::worker_stats: no such worker");
   }
-  return retired_worker_stats_[worker];
+  return workers_[worker]->stats();
 }
 
 void ServerGroup::dispatch_accepted(int fd, std::string peer) {

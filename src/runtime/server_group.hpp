@@ -16,7 +16,8 @@
 // be thread-safe when `workers > 1` (Proxy/NRS/OriginServer/ReverseProxy
 // are; see their headers). Other threads interact through four doors:
 //   * stats() / worker_stats(i)    — snapshots of per-worker relaxed
-//     counters, safe live;
+//     counters, safe live; the aggregate survives stop(), one worker's
+//     counters only while it runs;
 //   * run_on_all_workers(fn)       — stop-the-world door replacing
 //     HostServer::run_on_loop(): every worker parks at a rendezvous, `fn`
 //     runs with exclusive access to the hosted SimHost, then all workers
@@ -108,7 +109,9 @@ class ServerGroup {
 
   /// Aggregate across workers (safe while serving).
   [[nodiscard]] Stats stats() const;
-  /// One worker's counters (for per-worker throughput / balance reports).
+  /// One running worker's counters (for per-worker throughput / balance
+  /// reports). Throws std::out_of_range for an index past the running
+  /// workers, so for every index once stop() has retired them.
   [[nodiscard]] Stats worker_stats(std::size_t worker) const;
 
  private:
@@ -140,7 +143,6 @@ class ServerGroup {
   /// orders stats() snapshots against that retirement.
   mutable core::sync::Mutex lifecycle_mutex_;
   Stats retired_total_ IDICN_GUARDED_BY(lifecycle_mutex_);
-  std::vector<Stats> retired_worker_stats_ IDICN_GUARDED_BY(lifecycle_mutex_);
 };
 
 }  // namespace idicn::runtime

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <list>
+#include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <utility>
@@ -16,6 +19,9 @@
 namespace {
 
 using namespace idicn::cache;
+
+/// The id LRU keeps for its empty buckets (cache.hpp, Cache::insert).
+constexpr ObjectId kReservedId = std::numeric_limits<ObjectId>::max();
 
 std::vector<ObjectId> insert(Cache& cache, ObjectId object, std::uint64_t size = 1) {
   std::vector<ObjectId> evicted;
@@ -112,51 +118,123 @@ struct ReferenceLru {
 // the same order, the same contents and the same accounting after every op.
 // The second phase keeps the index table small and erases heavily, so
 // backward-shift deletion keeps running across the table's wrap-around.
-// The presize hint may reshape the index but never the contents: it is
-// given once before the first op and twice mid-stream, above and below the
-// current object count.
+// The presize hint may reshape the index but never the contents: where a
+// phase gives it, it comes once before the first op and twice mid-stream,
+// above and below the current object count. The last two phases never
+// presize, so every growth rebuild runs mid-stream and the victims that
+// follow check that it kept the recency order; the last one also draws
+// its ids from the full 32-bit range. A third of the way in, every phase
+// copies the cache, and from then on the source and the copy take their
+// own op streams, each checked against its own copy of the model.
 TEST(LruCache, MatchesListReferenceUnderRandomOps) {
   struct Phase {
     std::uint64_t capacity;
-    ObjectId universe;
+    std::size_t universe;
     unsigned erase_percent;
     int ops;
+    bool presize;
+    bool spread;  ///< ids over the full 32-bit range instead of 0..universe-1
   };
-  for (const Phase phase : {Phase{60, 150, 10, 5'000}, Phase{12, 32, 45, 10'000}}) {
-    SCOPED_TRACE(phase.capacity);
-    auto cache = make_cache(PolicyKind::Lru, phase.capacity);
+  struct Track {
+    std::unique_ptr<Cache> cache;
     ReferenceLru reference;
-    reference.capacity = phase.capacity;
+    std::mt19937_64 rng;
+  };
+  for (const Phase phase : {Phase{60, 150, 10, 5'000, true, false},
+                            Phase{12, 32, 45, 10'000, true, false},
+                            Phase{600, 400, 5, 6'000, false, false},
+                            Phase{200, 300, 20, 6'000, false, true}}) {
+    SCOPED_TRACE(phase.capacity);
     std::mt19937_64 rng(phase.capacity);
+    std::vector<ObjectId> ids(phase.universe);
     std::vector<std::uint64_t> size_of(phase.universe);
-    for (std::uint64_t& size : size_of) size = 1 + rng() % 7;
-    cache->presize(phase.capacity / 4);
+    std::set<ObjectId> taken;
+    for (std::size_t i = 0; i < phase.universe; ++i) {
+      ids[i] = static_cast<ObjectId>(i);
+      if (phase.spread) {
+        // Both ends of the valid range first, then distinct random ids.
+        ids[i] = i == 0 ? 0 : i == 1 ? kReservedId - 1 : static_cast<ObjectId>(rng());
+        while (ids[i] == kReservedId || !taken.insert(ids[i]).second) {
+          ids[i] = static_cast<ObjectId>(rng());
+        }
+      }
+      size_of[i] = 1 + rng() % 7;
+    }
 
-    for (int op = 0; op < phase.ops; ++op) {
-      const auto object = static_cast<ObjectId>(rng() % phase.universe);
-      const auto dice = static_cast<unsigned>(rng() % 100);
+    const auto step = [&](Track& track, int op) {
+      const std::size_t i = track.rng() % phase.universe;
+      const auto dice = static_cast<unsigned>(track.rng() % 100);
       std::vector<ObjectId> evicted, expected;
-      if (op == phase.ops / 2) {
-        cache->presize(4 * cache->object_count() + 16);
-        cache->presize(cache->object_count() / 2);
-      } else if (dice < phase.erase_percent) {
-        cache->erase(object);
-        reference.erase(object);
+      if (dice < phase.erase_percent) {
+        track.cache->erase(ids[i]);
+        track.reference.erase(ids[i]);
       } else if (dice < phase.erase_percent + 30) {
-        ASSERT_EQ(cache->lookup(object), reference.lookup(object)) << "op " << op;
+        ASSERT_EQ(track.cache->lookup(ids[i]), track.reference.lookup(ids[i])) << "op " << op;
       } else {
-        cache->insert(object, size_of[object], evicted);
-        reference.insert(object, size_of[object], expected);
+        track.cache->insert(ids[i], size_of[i], evicted);
+        track.reference.insert(ids[i], size_of[i], expected);
       }
       ASSERT_EQ(evicted, expected) << "op " << op;
-      ASSERT_EQ(cache->object_count(), reference.order.size()) << "op " << op;
-      ASSERT_EQ(cache->used_units(), reference.used) << "op " << op;
-      for (ObjectId o = 0; o < phase.universe; ++o) {
-        ASSERT_EQ(cache->contains(o), reference.find(o) != reference.order.end())
+      ASSERT_EQ(track.cache->object_count(), track.reference.order.size()) << "op " << op;
+      ASSERT_EQ(track.cache->used_units(), track.reference.used) << "op " << op;
+      for (const ObjectId o : ids) {
+        ASSERT_EQ(track.cache->contains(o),
+                  track.reference.find(o) != track.reference.order.end())
             << "op " << op << ", object " << o;
+      }
+    };
+
+    Track source{make_cache(PolicyKind::Lru, phase.capacity), ReferenceLru{}, rng};
+    source.reference.capacity = phase.capacity;
+    std::optional<Track> copy;
+    if (phase.presize) source.cache->presize(phase.capacity / 4);
+    for (int op = 0; op < phase.ops; ++op) {
+      if (op == phase.ops / 3) {
+        copy.emplace(Track{make_cache(PolicyKind::Lru, 1), source.reference,
+                           std::mt19937_64(~phase.capacity)});
+        copy->cache->copy_from(*source.cache);
+      }
+      if (phase.presize && op == phase.ops / 2) {
+        source.cache->presize(4 * source.cache->object_count() + 16);
+        source.cache->presize(source.cache->object_count() / 2);
+      }
+      ASSERT_NO_FATAL_FAILURE(step(source, op));
+      if (copy) {
+        ASSERT_NO_FATAL_FAILURE(step(*copy, op)) << "copy";
       }
     }
   }
+}
+
+// insert refuses, before any change, the id that marks an empty bucket
+// and sizes that need more than 32 bits; a refresh of a present object
+// with such a size is refused too. Sizes up to 2^32 - 1 are exact.
+TEST(LruCache, InsertPreconditionsThrowAndChangeNothing) {
+  auto cache = make_cache(PolicyKind::Lru, 3);
+  insert(*cache, 1);
+  insert(*cache, 2);
+  insert(*cache, 3);  // recency 3, 2, 1: 1 is the next victim
+  std::vector<ObjectId> evicted;
+  EXPECT_THROW(cache->insert(kReservedId, 1, evicted), std::invalid_argument);
+  EXPECT_THROW(cache->insert(4, std::uint64_t{1} << 32, evicted), std::invalid_argument);
+  EXPECT_THROW(cache->insert(1, std::uint64_t{1} << 32, evicted), std::invalid_argument);
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_EQ(cache->object_count(), 3u);
+  EXPECT_EQ(cache->used_units(), 3u);
+  EXPECT_FALSE(cache->contains(kReservedId));
+  EXPECT_FALSE(cache->lookup(kReservedId));
+  cache->erase(kReservedId);
+  EXPECT_EQ(cache->object_count(), 3u);
+  EXPECT_EQ(insert(*cache, kReservedId - 1), std::vector<ObjectId>{1});
+
+  constexpr std::uint64_t kLargest = (std::uint64_t{1} << 32) - 1;
+  auto big = make_cache(PolicyKind::Lru, std::uint64_t{1} << 33);
+  EXPECT_TRUE(insert(*big, 7, kLargest).empty());
+  EXPECT_TRUE(insert(*big, 8, kLargest).empty());
+  EXPECT_TRUE(insert(*big, 9, 2).empty());
+  EXPECT_EQ(big->used_units(), std::uint64_t{1} << 33);
+  EXPECT_EQ(insert(*big, 10, 1), std::vector<ObjectId>{7});
+  EXPECT_EQ(big->used_units(), kLargest + 3);
 }
 
 // --- LFU specifics ------------------------------------------------------
