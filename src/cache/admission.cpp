@@ -25,20 +25,20 @@ bool AdmissionFilteredCache::seen_recently(ObjectId object) {
   return false;
 }
 
-void AdmissionFilteredCache::insert(ObjectId object, std::uint64_t size,
+bool AdmissionFilteredCache::insert(ObjectId object, std::uint64_t size,
                                     std::vector<ObjectId>& evicted) {
   if (inner_->contains(object)) {
     inner_->insert(object, size, evicted);  // refresh policy state
-    return;
+    return false;
   }
   // No pressure yet: admit freely while the cache has room.
   const bool under_pressure = inner_->used_units() + size > inner_->capacity_units();
   if (under_pressure && !seen_recently(object)) {
     ++rejections_;
-    return;
+    return false;
   }
   ++admissions_;
-  inner_->insert(object, size, evicted);
+  return inner_->insert(object, size, evicted);
 }
 
 void AdmissionFilteredCache::copy_from(const Cache& source) {

@@ -31,7 +31,7 @@ public:
   [[nodiscard]] bool contains(ObjectId object) const override {
     return inner_->contains(object);
   }
-  void insert(ObjectId object, std::uint64_t size,
+  bool insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override { inner_->erase(object); }
   void presize(std::size_t objects) override { inner_->presize(objects); }

@@ -31,14 +31,14 @@ void LfuCache::evict_one(std::vector<ObjectId>& evicted) {
   order_.erase(victim);
 }
 
-void LfuCache::insert(ObjectId object, std::uint64_t size,
+bool LfuCache::insert(ObjectId object, std::uint64_t size,
                       std::vector<ObjectId>& evicted) {
   const auto it = entries_.find(object);
   if (it != entries_.end()) {
     touch(object, it->second);
-    return;
+    return false;
   }
-  if (size > capacity_) return;
+  if (size > capacity_) return false;
   while (used_ + size > capacity_) evict_one(evicted);
   Entry entry;
   entry.frequency = 1;
@@ -47,6 +47,7 @@ void LfuCache::insert(ObjectId object, std::uint64_t size,
   order_.insert(OrderKey{entry.frequency, entry.age, object});
   entries_.emplace(object, entry);
   used_ += size;
+  return true;
 }
 
 void LfuCache::erase(ObjectId object) {

@@ -23,8 +23,8 @@ constexpr std::size_t next_bucket(std::size_t bucket, std::size_t buckets) {
 
 }  // namespace
 
-LruCache::LruCache(std::uint64_t capacity)
-    : capacity_(capacity), table_(kInitialBuckets) {}
+LruCache::LruCache(std::uint64_t capacity, std::pmr::memory_resource* memory)
+    : capacity_(capacity), table_(kInitialBuckets, memory), moved_(memory) {}
 
 void LruCache::unlink(std::uint32_t bucket) noexcept {
   Entry& e = table_[bucket];
@@ -90,7 +90,7 @@ void LruCache::remove_bucket(std::uint32_t bucket) noexcept {
 
 void LruCache::rebuild(std::size_t buckets) {
   if (buckets > kNil) throw std::length_error("LruCache: index table too large");
-  std::vector<Entry> old(buckets);
+  std::pmr::vector<Entry> old(buckets, table_.get_allocator());
   old.swap(table_);  // table_ is now the empty rebuilt table
   std::uint32_t from = tail_;
   head_ = tail_ = kNil;
@@ -104,49 +104,88 @@ void LruCache::rebuild(std::size_t buckets) {
   }
 }
 
+std::uint32_t LruCache::held_rank(ObjectId object) const noexcept {
+  if (image_held_ == 0) return kNoRank;
+  const std::uint32_t rank = image_->rank_of(object);
+  return rank < cursor_ && !left_image(rank) ? rank : kNoRank;
+}
+
+void LruCache::leave_image(std::uint32_t rank) noexcept {
+  moved_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
+  --image_held_;
+}
+
+void LruCache::add_front(ObjectId object, std::uint32_t size) {
+  if (buckets_for(count_ + 1) > table_.size()) rebuild(2 * table_.size());
+  const auto bucket = static_cast<std::uint32_t>(find_bucket(object));
+  table_[bucket].object = object;
+  table_[bucket].size = size;
+  link_front(bucket);
+  ++count_;
+}
+
 bool LruCache::lookup(ObjectId object) {
   const auto bucket = static_cast<std::uint32_t>(find_bucket(object));
-  if (table_[bucket].object == kEmpty) return false;
-  if (head_ != bucket) {
-    unlink(bucket);
-    link_front(bucket);
+  if (table_[bucket].object != kEmpty) {
+    if (head_ != bucket) {
+      unlink(bucket);
+      link_front(bucket);
+    }
+    return true;
   }
+  const std::uint32_t rank = held_rank(object);
+  if (rank == kNoRank) return false;
+  // A touched image object joins the overlay as its most recent entry; its
+  // bit is set only once the overlay holds it (add_front may throw).
+  add_front(object, static_cast<std::uint32_t>(image_->size_of(object)));
+  leave_image(rank);
   return true;
 }
 
 bool LruCache::contains(ObjectId object) const {
-  return table_[find_bucket(object)].object != kEmpty;
+  return held_rank(object) != kNoRank || table_[find_bucket(object)].object != kEmpty;
 }
 
 void LruCache::evict_lru(std::vector<ObjectId>& evicted) {
+  if (image_held_ != 0) {
+    // Every overlay entry is more recent than every untouched image
+    // object, and those rank by popularity: the victim is the highest
+    // rank the image still holds.
+    while (left_image(cursor_ - 1)) --cursor_;
+    const ObjectId victim = image_->object_at(--cursor_);
+    --image_held_;
+    used_ -= image_->size_of(victim);
+    evicted.push_back(victim);
+    return;
+  }
   const std::uint32_t victim = tail_;
   used_ -= table_[victim].size;
   evicted.push_back(table_[victim].object);
   remove_bucket(victim);
 }
 
-void LruCache::insert(ObjectId object, std::uint64_t size,
+bool LruCache::insert(ObjectId object, std::uint64_t size,
                       std::vector<ObjectId>& evicted) {
   if (object == kEmpty) throw std::invalid_argument("LruCache::insert: reserved object id");
   if (size > kMaxSize) throw std::invalid_argument("LruCache::insert: size over 32 bits");
-  if (lookup(object)) return;  // refresh; sizes are immutable per object
-  if (size > capacity_) return;  // cannot ever fit
+  if (lookup(object)) return false;  // refresh; sizes are immutable per object
+  if (size > capacity_) return false;  // cannot ever fit
 
   while (used_ + size > capacity_) evict_lru(evicted);
-  if (buckets_for(count_ + 1) > table_.size()) rebuild(2 * table_.size());
-  const auto bucket = static_cast<std::uint32_t>(find_bucket(object));
-  table_[bucket].object = object;
-  table_[bucket].size = static_cast<std::uint32_t>(size);
-  link_front(bucket);
-  ++count_;
+  add_front(object, static_cast<std::uint32_t>(size));
   used_ += size;
+  return true;
 }
 
 void LruCache::erase(ObjectId object) {
   const auto bucket = static_cast<std::uint32_t>(find_bucket(object));
-  if (table_[bucket].object == kEmpty) return;
-  used_ -= table_[bucket].size;
-  remove_bucket(bucket);
+  if (table_[bucket].object != kEmpty) {
+    used_ -= table_[bucket].size;
+    remove_bucket(bucket);
+  } else if (const std::uint32_t rank = held_rank(object); rank != kNoRank) {
+    used_ -= image_->size_of(object);
+    leave_image(rank);
+  }
 }
 
 void LruCache::presize(std::size_t objects) {
@@ -154,14 +193,28 @@ void LruCache::presize(std::size_t objects) {
   if (buckets > table_.size()) rebuild(buckets);
 }
 
+void LruCache::warm_start(std::shared_ptr<const PopularityImage> image,
+                          std::size_t prefix) {
+  const std::uint64_t units = warm_start_units(image.get(), prefix, kMaxSize);
+  moved_.assign((prefix + 63) / 64, 0);
+  image_ = std::move(image);
+  cursor_ = static_cast<std::uint32_t>(prefix);
+  image_held_ = prefix;
+  used_ = units;
+}
+
 void LruCache::copy_from(const Cache& source) {
   const LruCache& other = same_policy<LruCache>(source);
   table_ = other.table_;
+  moved_ = other.moved_;
+  image_ = other.image_;
   capacity_ = other.capacity_;
   used_ = other.used_;
   count_ = other.count_;
   head_ = other.head_;
   tail_ = other.tail_;
+  cursor_ = other.cursor_;
+  image_held_ = other.image_held_;
 }
 
 }  // namespace idicn::cache

@@ -16,7 +16,7 @@ public:
 
   [[nodiscard]] bool lookup(ObjectId object) override;
   [[nodiscard]] bool contains(ObjectId object) const override;
-  void insert(ObjectId object, std::uint64_t size,
+  bool insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
   void copy_from(const Cache& source) override;
@@ -52,7 +52,7 @@ public:
 
   [[nodiscard]] bool lookup(ObjectId object) override;
   [[nodiscard]] bool contains(ObjectId object) const override;
-  void insert(ObjectId object, std::uint64_t size,
+  bool insert(ObjectId object, std::uint64_t size,
               std::vector<ObjectId>& evicted) override;
   void erase(ObjectId object) override;
   /// Copies everything but the generator: this cache keeps its own seed.

@@ -53,7 +53,8 @@ Simulator::Simulator(const topology::HierarchicalNetwork& network,
     const auto capacity = static_cast<std::uint64_t>(
         std::llround(static_cast<double>(plan.per_node[n]) * scale));
     if (capacity == 0) continue;  // a zero-budget site has no cache at all
-    caches_[n] = cache::make_cache(design_.policy, capacity, config_.seed ^ n);
+    caches_[n] =
+        cache::make_cache(design_.policy, capacity, config_.seed ^ n, &cache_memory_);
     if (design_.admission_doorkeeper) {
       caches_[n] = std::make_unique<cache::AdmissionFilteredCache>(
           std::move(caches_[n]), std::max<std::size_t>(64, capacity));
@@ -122,19 +123,13 @@ void Simulator::store_on_path(std::uint32_t object, std::uint64_t size,
   // its origin store already holds them permanently.
   if (network_.tree_index_of(node) == 0 && network_.pop_of(node) == origin_pop) return;
 
-  if (holders_) {
-    const bool was_present = cache->contains(object);
-    eviction_scratch_.clear();
-    cache->insert(object, size, eviction_scratch_);
-    for (const cache::ObjectId evicted : eviction_scratch_) {
-      holders_->remove(evicted, node);
-    }
-    // insert() may refuse admission (size > capacity); re-check presence.
-    if (!was_present && cache->contains(object)) holders_->add(object, node);
-  } else {
-    eviction_scratch_.clear();
-    cache->insert(object, size, eviction_scratch_);
+  eviction_scratch_.clear();
+  const bool admitted = cache->insert(object, size, eviction_scratch_);
+  if (!holders_) return;
+  for (const cache::ObjectId evicted : eviction_scratch_) {
+    holders_->remove(evicted, node);
   }
+  if (admitted) holders_->add(object, node);
 }
 
 std::optional<Simulator::ServeDecision> Simulator::try_local(
@@ -176,13 +171,10 @@ Simulator::ServeDecision Simulator::decide_shortest_path(const BoundRequest& req
     if (node == origin_node) return false;  // the origin is handled below
     cache::Cache* cache = caches_[node].get();
     if (cache == nullptr) return false;
-    if (!cache->contains(request.object)) return false;
-    if (!has_serving_capacity(node)) {
-      ++metrics_.capacity_redirects;
-      return false;
-    }
-    (void)cache->lookup(request.object);  // record the hit for the policy
-    return true;
+    if (has_serving_capacity(node)) return cache->lookup(request.object);
+    // An overloaded cache that holds the object passes the request on.
+    if (cache->contains(request.object)) ++metrics_.capacity_redirects;
+    return false;
   };
 
   TreeIndex t = network_.tree_index_of(leaf_node);
@@ -233,7 +225,7 @@ Simulator::ServeDecision Simulator::decide_nearest_replica(const BoundRequest& r
 void Simulator::prefill(const BoundWorkload& workload) {
   // Per-object sizes: first occurrence in the workload wins; objects never
   // requested default to 1 unit (they sort to the end of any real
-  // popularity order anyway).
+  // popularity order anyway). Every image shares them.
   std::vector<std::uint64_t> size_of(workload.object_count, 1);
   std::vector<bool> size_known(workload.object_count, false);
   for (const BoundRequest& r : workload.requests) {
@@ -242,18 +234,24 @@ void Simulator::prefill(const BoundWorkload& workload) {
       size_of[r.object] = r.size;
     }
   }
+  const auto sizes = std::make_shared<const std::vector<std::uint64_t>>(std::move(size_of));
+  // One image per distinct popularity order, built when the first cache
+  // that follows the order fills.
+  std::vector<std::shared_ptr<const cache::PopularityImage>> images(
+      workload.popularity_order.size());
 
   // Each cache takes the greedy prefix of its PoP's popularity order that
   // fits its capacity. A non-root cache stores all of it, so caches that
   // share the order and the capacity end identical: they form a group,
-  // whose first cache is filled by inserts and copied to the others. The
-  // prefix always fits, so no fill evicts or draws from a policy's RNG,
-  // and each copy holds exactly what its own inserts would have built. A
-  // PoP root fills alone, since it skips the objects its PoP originates.
+  // whose first cache warms from the order's image (Cache::warm_start) and
+  // is copied to the others. The prefix always fits, so no fill evicts or
+  // draws from a policy's RNG, and each copy holds exactly what its own
+  // warm start would have built. A PoP root fills alone, by inserts, since
+  // it skips the objects its PoP originates.
   struct Group {
     const std::vector<std::uint32_t>* order;
     std::uint64_t capacity;
-    const cache::Cache* source;  ///< the member filled by inserts
+    const cache::Cache* source;  ///< the member that warm-started
     std::size_t prefix;          ///< its objects: (*order)[0, prefix)
   };
   std::vector<Group> groups;
@@ -261,19 +259,11 @@ void Simulator::prefill(const BoundWorkload& workload) {
   std::vector<std::pair<std::size_t, TreeIndex>> members;
   std::vector<TreeIndex> group_nodes;
 
-  const auto greedy_prefix = [&](const std::vector<std::uint32_t>& order,
-                                 std::uint64_t capacity) {
-    std::size_t prefix = 0;
-    std::uint64_t used = 0;
-    for (; prefix < order.size() && used + size_of[order[prefix]] <= capacity; ++prefix) {
-      used += size_of[order[prefix]];
-    }
-    return prefix;
-  };
-
   const TreeIndex tree_nodes = network_.tree().node_count();
   for (PopId pop = 0; pop < network_.pop_count(); ++pop) {
     const std::vector<std::uint32_t>& order = workload.order_for_pop(pop);
+    std::shared_ptr<const cache::PopularityImage>& image =
+        images[static_cast<std::size_t>(&order - workload.popularity_order.data())];
     members.clear();
     for (TreeIndex t = 0; t < tree_nodes; ++t) {
       const GlobalNodeId n = network_.global_node(pop, t);
@@ -294,21 +284,22 @@ void Simulator::prefill(const BoundWorkload& workload) {
           continue;
         }
       }
-      const std::size_t prefix = greedy_prefix(order, capacity);
-      cache->presize(prefix);
-      // Insert least-popular first so the most popular object is MRU.
-      for (std::size_t i = prefix; i-- > 0;) {
-        const std::uint32_t object = order[i];
-        if (t == 0) {
-          store_on_path(object, size_of[object], n, origins_.origin_pop(object));
-        } else {
-          cache->insert(object, size_of[object], eviction_scratch_);
+      if (image == nullptr) {
+        image = std::make_shared<const cache::PopularityImage>(order, sizes);
+      }
+      const std::size_t prefix = image->fitting_prefix(capacity);
+      if (t == 0) {
+        cache->presize(prefix);
+        // Insert least-popular first so the most popular object is MRU.
+        for (std::size_t i = prefix; i-- > 0;) {
+          const std::uint32_t object = order[i];
+          store_on_path(object, image->size_of(object), n, origins_.origin_pop(object));
         }
+        continue;
       }
-      if (t != 0) {
-        groups.push_back(Group{&order, capacity, cache, prefix});
-        members.emplace_back(groups.size() - 1, t);
-      }
+      cache->warm_start(image, prefix);
+      groups.push_back(Group{&order, capacity, cache, prefix});
+      members.emplace_back(groups.size() - 1, t);
     }
     if (!holders_) continue;
 

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <random>
 
@@ -56,7 +57,8 @@ struct SimulationConfig {
 };
 
 /// One design × one network × one workload run. Construct fresh per run —
-/// cache state is not reusable across workloads.
+/// cache state is not reusable across workloads. Not movable: its caches
+/// allocate from a pool it owns.
 class Simulator {
 public:
   /// Throws std::invalid_argument when `config` is out of range
@@ -135,7 +137,8 @@ private:
 
   /// Fill every finite cache with the top objects of its PoP's popularity
   /// order (most popular ends most-recently-used): one cache per group of
-  /// identical caches by inserts, the rest by Cache::copy_from.
+  /// identical caches by Cache::warm_start from the order's shared image,
+  /// the rest by Cache::copy_from, and each PoP root by inserts.
   void prefill(const BoundWorkload& workload);
 
   const topology::HierarchicalNetwork& network_;
@@ -143,6 +146,10 @@ private:
   DesignSpec design_;
   SimulationConfig config_;
 
+  /// Serves every LruCache's table and bitset, so that the small tables of
+  /// thousands of caches, and their growth during replay, rarely reach
+  /// operator new. Declared before caches_, which must be destroyed first.
+  std::pmr::unsynchronized_pool_resource cache_memory_;
   std::vector<std::unique_ptr<cache::Cache>> caches_;
   std::optional<HolderIndex> holders_;  ///< engaged for replica routing modes
   std::vector<double> origin_cost_;  ///< leaf→origin-root cost per PoP pair

@@ -123,9 +123,17 @@ struct ReferenceLru {
 // above and below the current object count. The last two phases never
 // presize, so every growth rebuild runs mid-stream and the victims that
 // follow check that it kept the recency order; the last one also draws
-// its ids from the full 32-bit range. A third of the way in, every phase
-// copies the cache, and from then on the source and the copy take their
-// own op streams, each checked against its own copy of the model.
+// its ids from the full 32-bit range. Every phase copies the cache once
+// (a third of the way in unless the phase says otherwise), and from then
+// on the source and the copy take their own op streams, each checked
+// against its own copy of the model.
+//
+// The warm phases start the cache from a PopularityImage (a shuffled order
+// of the whole universe, non-unit sizes) and the model from inserting the
+// same prefix least popular first. Their lookups, refreshes and erases hit
+// image objects, and their evictions walk the cursor past ranks that left
+// the image before they reach the overlay's tail. The last one copies
+// early, while the image still holds most of its prefix.
 TEST(LruCache, MatchesListReferenceUnderRandomOps) {
   struct Phase {
     std::uint64_t capacity;
@@ -134,6 +142,9 @@ TEST(LruCache, MatchesListReferenceUnderRandomOps) {
     int ops;
     bool presize;
     bool spread;  ///< ids over the full 32-bit range instead of 0..universe-1
+    bool warm = false;  ///< warm_start from an image of the whole universe
+    std::size_t prefix_halves = 2;  ///< warm prefix: this many halves of the fitting one
+    int copy_at = -1;               ///< the op before which to copy; -1: ops / 3
   };
   struct Track {
     std::unique_ptr<Cache> cache;
@@ -143,7 +154,10 @@ TEST(LruCache, MatchesListReferenceUnderRandomOps) {
   for (const Phase phase : {Phase{60, 150, 10, 5'000, true, false},
                             Phase{12, 32, 45, 10'000, true, false},
                             Phase{600, 400, 5, 6'000, false, false},
-                            Phase{200, 300, 20, 6'000, false, true}}) {
+                            Phase{200, 300, 20, 6'000, false, true},
+                            Phase{300, 400, 10, 4'000, false, false, true},
+                            Phase{100, 160, 30, 4'000, true, false, true, 1},
+                            Phase{400, 300, 3, 3'000, false, false, true, 2, 40}}) {
     SCOPED_TRACE(phase.capacity);
     std::mt19937_64 rng(phase.capacity);
     std::vector<ObjectId> ids(phase.universe);
@@ -188,8 +202,25 @@ TEST(LruCache, MatchesListReferenceUnderRandomOps) {
     source.reference.capacity = phase.capacity;
     std::optional<Track> copy;
     if (phase.presize) source.cache->presize(phase.capacity / 4);
+    if (phase.warm) {
+      std::vector<ObjectId> order = ids;
+      std::shuffle(order.begin(), order.end(), rng);
+      const auto image = std::make_shared<const PopularityImage>(
+          order, std::make_shared<const std::vector<std::uint64_t>>(size_of));
+      const std::size_t prefix =
+          image->fitting_prefix(phase.capacity) * phase.prefix_halves / 2;
+      source.cache->warm_start(image, prefix);
+      std::vector<ObjectId> evicted;
+      for (std::size_t rank = prefix; rank-- > 0;) {
+        source.reference.insert(order[rank], size_of[order[rank]], evicted);
+      }
+      ASSERT_TRUE(evicted.empty());
+      ASSERT_EQ(source.cache->object_count(), prefix);
+      ASSERT_EQ(source.cache->used_units(), source.reference.used);
+    }
+    const int copy_at = phase.copy_at >= 0 ? phase.copy_at : phase.ops / 3;
     for (int op = 0; op < phase.ops; ++op) {
-      if (op == phase.ops / 3) {
+      if (op == copy_at) {
         copy.emplace(Track{make_cache(PolicyKind::Lru, 1), source.reference,
                            std::mt19937_64(~phase.capacity)});
         copy->cache->copy_from(*source.cache);
@@ -313,14 +344,15 @@ TEST_P(BoundedPolicy, CapacityNeverExceeded) {
 
 TEST_P(BoundedPolicy, EvictionReportingIsExact) {
   // Track membership via the eviction reports alone; it must match the
-  // cache's own contains().
+  // cache's own contains(). insert returns true exactly when it admits.
   auto cache = make_cache(GetParam(), 20, 2);
   std::set<ObjectId> shadow;
   std::mt19937_64 rng(11);
   for (int i = 0; i < 3000; ++i) {
     const auto object = static_cast<ObjectId>(rng() % 100);
     std::vector<ObjectId> evicted;
-    cache->insert(object, 1, evicted);
+    const bool held = cache->contains(object);
+    EXPECT_EQ(cache->insert(object, 1, evicted), !held) << "insert reports an admission";
     shadow.insert(object);
     for (const ObjectId e : evicted) {
       EXPECT_EQ(shadow.erase(e), 1u) << "evicted object was not a member";
@@ -499,6 +531,145 @@ INSTANTIATE_TEST_SUITE_P(
                       CopyCase{PolicyKind::Fifo, false},
                       CopyCase{PolicyKind::Random, false},
                       CopyCase{PolicyKind::Lru, true}),
+    [](const auto& info) {
+      return to_string(info.param.kind) + (info.param.doorkeeper ? "_Doorkeeper" : "");
+    });
+
+// --- warm_start -------------------------------------------------------------
+//
+// warm_start(image, prefix) must leave a cache exactly where inserting the
+// prefix least popular first leaves it: A warm-starts and B takes the
+// inserts (same seed), and one seeded stream of lookups, evicting inserts
+// and erases then drives both, which must agree on every victim, every
+// contains() and the accounting after every op. C copies A before the
+// stream and must agree too. LruCache keeps a reference to the image; the
+// other policies and the doorkeeper fill by inserts.
+
+class WarmStart : public ::testing::TestWithParam<CopyCase> {};
+
+TEST_P(WarmStart, MatchesTheInsertLoop) {
+  constexpr std::uint64_t kCapacity = 60;
+  constexpr ObjectId kUniverse = 150;
+  std::mt19937_64 rng(0x3a7e);
+  auto sizes = std::make_shared<std::vector<std::uint64_t>>(kUniverse);
+  for (std::uint64_t& size : *sizes) size = 1 + rng() % 4;
+  std::vector<ObjectId> order(kUniverse);
+  for (ObjectId o = 0; o < kUniverse; ++o) order[o] = o;
+  std::shuffle(order.begin(), order.end(), rng);
+  const auto image = std::make_shared<const PopularityImage>(order, sizes);
+  const std::size_t prefix = image->fitting_prefix(kCapacity);
+  ASSERT_GT(prefix, 10u);
+
+  auto a = make_copy_case(GetParam(), kCapacity, 1);
+  auto b = make_copy_case(GetParam(), kCapacity, 1);
+  auto c = make_copy_case(GetParam(), kCapacity, 1);
+  a->warm_start(image, prefix);
+  for (std::size_t rank = prefix; rank-- > 0;) {
+    ASSERT_TRUE(insert(*b, order[rank], (*sizes)[order[rank]]).empty());
+  }
+  c->copy_from(*a);
+
+  const auto same = [&](const Cache& x, const Cache& y, int op) {
+    ASSERT_EQ(x.object_count(), y.object_count()) << "op " << op;
+    ASSERT_EQ(x.used_units(), y.used_units()) << "op " << op;
+    for (ObjectId o = 0; o < kUniverse; ++o) {
+      ASSERT_EQ(x.contains(o), y.contains(o)) << "op " << op << ", object " << o;
+    }
+    const auto* dx = dynamic_cast<const AdmissionFilteredCache*>(&x);
+    const auto* dy = dynamic_cast<const AdmissionFilteredCache*>(&y);
+    ASSERT_EQ(dx == nullptr, dy == nullptr);
+    if (dx != nullptr) {
+      ASSERT_EQ(dx->admissions(), dy->admissions()) << "op " << op;
+      ASSERT_EQ(dx->rejections(), dy->rejections()) << "op " << op;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(same(*a, *b, -1));
+  for (int op = 0; op < 4'000; ++op) {
+    const auto object = static_cast<ObjectId>(rng() % kUniverse);
+    const auto dice = static_cast<unsigned>(rng() % 100);
+    std::vector<ObjectId> evicted, expected, copied;
+    if (dice < 10) {
+      a->erase(object);
+      b->erase(object);
+      c->erase(object);
+    } else if (dice < 45) {
+      const bool hit = b->lookup(object);
+      ASSERT_EQ(a->lookup(object), hit) << "op " << op;
+      ASSERT_EQ(c->lookup(object), hit) << "op " << op;
+    } else {
+      const bool admitted = b->insert(object, (*sizes)[object], expected);
+      ASSERT_EQ(a->insert(object, (*sizes)[object], evicted), admitted) << "op " << op;
+      ASSERT_EQ(c->insert(object, (*sizes)[object], copied), admitted) << "op " << op;
+    }
+    ASSERT_EQ(evicted, expected) << "op " << op;
+    ASSERT_EQ(copied, expected) << "op " << op;
+    ASSERT_NO_FATAL_FAILURE(same(*a, *b, op));
+    ASSERT_NO_FATAL_FAILURE(same(*c, *b, op));
+  }
+}
+
+// warm_start refuses, before any change: a null image, a cache that holds
+// an object, a prefix longer than the image and a prefix that does not
+// fit; LruCache also refuses an object its insert refuses (a size over 32
+// bits; the reserved id cannot be in an image, which needs a size for each
+// object). A refused cache still warm-starts afterwards.
+TEST_P(WarmStart, RefusalsThrowAndChangeNothing) {
+  auto sizes = std::make_shared<std::vector<std::uint64_t>>(std::vector<std::uint64_t>{
+      4, 3, 2, 2, 1});
+  const auto image = std::make_shared<const PopularityImage>(
+      std::vector<ObjectId>{3, 1, 4, 0, 2}, sizes);  // sizes in order: 2 3 1 4 2
+  EXPECT_EQ(image->fitting_prefix(6), 3u);
+  EXPECT_EQ(image->fitting_prefix(12), 5u);
+  EXPECT_EQ(image->rank_of(4), 2u);
+  EXPECT_EQ(image->rank_of(5), PopularityImage::kNoRank);
+
+  auto empty = make_copy_case(GetParam(), 6, 1);
+  EXPECT_THROW(empty->warm_start(nullptr, 0), std::invalid_argument);
+  EXPECT_THROW(empty->warm_start(image, 6), std::invalid_argument);
+  EXPECT_THROW(empty->warm_start(image, 4), std::invalid_argument);  // 10 units > 6
+  EXPECT_EQ(empty->object_count(), 0u);
+  EXPECT_EQ(empty->used_units(), 0u);
+  for (ObjectId o = 0; o < 5; ++o) EXPECT_FALSE(empty->contains(o)) << o;
+  empty->warm_start(image, 3);
+  EXPECT_EQ(empty->object_count(), 3u);
+  EXPECT_EQ(empty->used_units(), 6u);
+
+  auto held = make_copy_case(GetParam(), 6, 1);
+  insert(*held, 2, 2);
+  EXPECT_THROW(held->warm_start(image, 1), std::invalid_argument);
+  EXPECT_EQ(held->object_count(), 1u);
+  EXPECT_EQ(held->used_units(), 2u);
+  EXPECT_TRUE(held->contains(2));
+  EXPECT_FALSE(held->contains(3));
+
+  if (GetParam().kind == PolicyKind::Lru && !GetParam().doorkeeper) {
+    const auto big = std::make_shared<const PopularityImage>(
+        std::vector<ObjectId>{0, 1},
+        std::make_shared<const std::vector<std::uint64_t>>(
+            std::vector<std::uint64_t>{1, std::uint64_t{1} << 32}));
+    auto lru = make_cache(PolicyKind::Lru, std::uint64_t{1} << 33);
+    EXPECT_THROW(lru->warm_start(big, 2), std::invalid_argument);
+    EXPECT_EQ(lru->object_count(), 0u);
+    EXPECT_EQ(lru->used_units(), 0u);
+    EXPECT_FALSE(lru->contains(0));
+    lru->warm_start(big, 1);
+    EXPECT_TRUE(lru->contains(0));
+  }
+
+  // An image needs a size for each object of its order, once each.
+  EXPECT_THROW(PopularityImage({0, 5}, sizes), std::invalid_argument);
+  EXPECT_THROW(PopularityImage({kReservedId}, sizes), std::invalid_argument);
+  EXPECT_THROW(PopularityImage({1, 2, 1}, sizes), std::invalid_argument);
+  EXPECT_THROW(PopularityImage({1}, nullptr), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, WarmStart,
+    ::testing::Values(CopyCase{PolicyKind::Lru, false}, CopyCase{PolicyKind::Lfu, false},
+                      CopyCase{PolicyKind::Fifo, false},
+                      CopyCase{PolicyKind::Random, false}, CopyCase{PolicyKind::Lru, true},
+                      CopyCase{PolicyKind::Lfu, true}, CopyCase{PolicyKind::Fifo, true},
+                      CopyCase{PolicyKind::Random, true}),
     [](const auto& info) {
       return to_string(info.param.kind) + (info.param.doorkeeper ? "_Doorkeeper" : "");
     });
