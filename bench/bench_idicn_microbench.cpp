@@ -36,8 +36,9 @@ int main() {
   NameResolutionSystem nrs(&dns);
   OriginServer origin;
   ReverseProxy reverse_proxy(&net, "rp.pub", "origin.pub", "nrs.consortium", &signer);
-  Proxy proxy(&net, "cache.ad1", "nrs.consortium", &dns,
-              Proxy::Options{1 << 22, 3'600'000, true});
+  Proxy::Options proxy_options;
+  proxy_options.capacity_bytes = 1 << 22;
+  Proxy proxy(&net, "cache.ad1", "nrs.consortium", &dns, proxy_options);
   Client client(&net, "host.ad1", &dns);
   client.configure(PacFile::idicn_default("cache.ad1"));
 

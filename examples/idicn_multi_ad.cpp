@@ -48,10 +48,12 @@ int main() {
 
   // One proxy per AD; ADs 0/1 and 2/3 cooperate pairwise.
   std::vector<std::unique_ptr<Proxy>> proxies;
+  Proxy::Options proxy_options;
+  proxy_options.capacity_bytes = kProxyBytes;
   for (int ad = 0; ad < kAds; ++ad) {
     const std::string address = "cache.ad" + std::to_string(ad);
-    proxies.push_back(std::make_unique<Proxy>(
-        &net, address, "nrs", &dns, Proxy::Options{kProxyBytes, 3'600'000, true}));
+    proxies.push_back(
+        std::make_unique<Proxy>(&net, address, "nrs", &dns, proxy_options));
     net.attach(address, proxies.back().get());
   }
   proxies[0]->add_peer("cache.ad1");

@@ -1,9 +1,9 @@
 // simulate_cli — run a custom caching-design experiment from the command
 // line, no C++ required. The knobs mirror the paper's §4–§5 configuration
-// space.
+// space. For example (one command line, wrapped here):
 //
-//   $ ./examples/simulate_cli --topology ATT --alpha 1.04 --budget 0.05 \
-//         --requests 100000 --objects 11000 --skew 0 --arity 2 --depth 5 \
+//   $ ./examples/simulate_cli --topology ATT --alpha 1.04 --budget 0.05
+//         --requests 100000 --objects 11000 --skew 0 --arity 2 --depth 5
 //         --designs ICN-SP,ICN-NR,EDGE,EDGE-Coop,EDGE-Norm
 //
 // Prints the improvement of every requested design over the no-cache

@@ -188,6 +188,18 @@ void LruCache::erase(ObjectId object) {
   }
 }
 
+void LruCache::most_recent(std::size_t limit, std::vector<ObjectId>& out) const {
+  for (std::uint32_t bucket = head_; bucket != kNil && limit != 0; --limit) {
+    out.push_back(table_[bucket].object);
+    bucket = table_[bucket].next;
+  }
+  for (std::uint32_t rank = 0; rank < cursor_ && limit != 0; ++rank) {
+    if (left_image(rank)) continue;
+    out.push_back(image_->object_at(rank));
+    --limit;
+  }
+}
+
 void LruCache::presize(std::size_t objects) {
   const std::size_t buckets = buckets_for(objects);
   if (buckets > table_.size()) rebuild(buckets);

@@ -18,7 +18,9 @@
 // probes the image (rank below the cursor, bit clear) and the overlay; a
 // lookup hit on an image object moves it into the overlay, and sets its
 // bit once the overlay holds it. copy_from shares the image and copies the
-// bitset and the overlay.
+// bitset and the overlay. most_recent walks the same order from the most
+// recent end: the overlay from its head, then the untouched image ranks
+// from 0.
 //
 // The overlay's entries live in its index: one flat open-addressing table
 // of 16-byte entries {object, size, prev, next}, whose prev/next fields
@@ -61,6 +63,10 @@ public:
   void warm_start(std::shared_ptr<const PopularityImage> image, std::size_t prefix) override;
   void copy_from(const Cache& source) override;
 
+  /// Append to `out` the `limit` most recently used objects this cache
+  /// holds (all of them when it holds fewer), most recent first.
+  void most_recent(std::size_t limit, std::vector<ObjectId>& out) const;
+
   [[nodiscard]] std::size_t object_count() const noexcept override {
     return count_ + image_held_;
   }
@@ -69,11 +75,12 @@ public:
     return capacity_;
   }
 
+  /// The largest size an entry holds; insert refuses larger ones.
+  static constexpr std::uint64_t kMaxSize = std::numeric_limits<std::uint32_t>::max();
+
 private:
   /// The id that marks an empty bucket; insert refuses it.
   static constexpr ObjectId kEmpty = std::numeric_limits<ObjectId>::max();
-  /// The largest size an entry holds; insert refuses larger ones.
-  static constexpr std::uint64_t kMaxSize = std::numeric_limits<std::uint32_t>::max();
   /// No bucket: the end of the recency list.
   static constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
   static constexpr std::uint32_t kNoRank = PopularityImage::kNoRank;

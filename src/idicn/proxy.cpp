@@ -132,9 +132,7 @@ Proxy::Proxy(net::Transport* net, net::Address self, net::Address nrs,
   const std::uint64_t remainder = options_.capacity_bytes % count;
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    auto shard = std::make_unique<CacheShard>();
-    shard->capacity_bytes = base + (i < remainder ? 1 : 0);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<CacheShard>(base + (i < remainder ? 1 : 0)));
   }
 }
 
@@ -152,7 +150,7 @@ std::uint64_t Proxy::cached_bytes() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     const core::sync::MutexLock lock(shard->mutex);
-    total += shard->used_bytes;
+    total += shard->lru.used_units();
   }
   return total;
 }
@@ -172,38 +170,35 @@ bool Proxy::is_cached(const std::string& host) const {
   return shard.entries.find(host) != shard.entries.end();
 }
 
-void Proxy::touch(CacheShard& shard, Entry& entry) {
-  // Relinks the node: no allocation, and lru_position stays valid.
-  shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_position);
-}
-
-void Proxy::evict_until_fits(CacheShard& shard, std::uint64_t incoming) {
-  while (!shard.lru.empty() &&
-         shard.used_bytes + incoming > shard.capacity_bytes) {
-    const std::string victim = shard.lru.back();
-    shard.lru.pop_back();
-    const auto it = shard.entries.find(victim);
-    shard.used_bytes -= it->second.body.size();
-    shard.entries.erase(it);
-    ++stats_.evictions;
-  }
-}
-
 bool Proxy::cache_store(CacheShard& shard, const std::string& host,
                         Entry& entry) {
-  if (entry.body.size() > shard.capacity_bytes) return false;  // too large
+  const std::uint64_t size = entry.body.size();
+  if (size > shard.lru.capacity_units() || size > cache::LruCache::kMaxSize) {
+    return false;  // too large
+  }
   const auto existing = shard.entries.find(host);
   if (existing != shard.entries.end()) {
-    shard.used_bytes -= existing->second.body.size();
-    shard.lru.erase(existing->second.lru_position);
+    shard.lru.erase(existing->second.id);
+    shard.free_ids.push_back(existing->second.id);
     shard.entries.erase(existing);
   }
   entry.hit_headers = std::move(entry_response(entry, true, false).headers);
-  evict_until_fits(shard, entry.body.size());
-  shard.used_bytes += entry.body.size();
-  shard.lru.push_front(host);
-  entry.lru_position = shard.lru.begin();
-  shard.entries.emplace(host, std::move(entry));
+  auto id = static_cast<cache::ObjectId>(shard.by_id.size());
+  if (shard.free_ids.empty()) {
+    shard.by_id.emplace_back();
+  } else {
+    id = shard.free_ids.back();
+    shard.free_ids.pop_back();
+  }
+  shard.evicted.clear();
+  shard.lru.insert(id, size, shard.evicted);
+  for (const cache::ObjectId victim : shard.evicted) {
+    shard.entries.erase(shard.by_id[victim]);
+    shard.free_ids.push_back(victim);
+    ++stats_.evictions;
+  }
+  entry.id = id;
+  shard.by_id[id] = shard.entries.emplace(host, std::move(entry)).first;
   return true;
 }
 
@@ -229,7 +224,7 @@ IDICN_HOT_PATH net::HttpResponse Proxy::serve_entry(CacheShard& shard,
                                                     bool full_metadata) {
   stats_.bytes_served += entry.body.size();
   if (!hit) return entry_response(entry, false, full_metadata);
-  touch(shard, entry);
+  (void)shard.lru.lookup(entry.id);  // the entry becomes the most recent
   if (full_metadata) return entry_response(entry, true, true);
   // A HIT only ever serves an admitted entry, whose fields cache_store
   // built: one exact-size copy, no per-field scans or re-encoding.
@@ -277,13 +272,13 @@ net::HttpResponse Proxy::serve_hint(const net::HttpRequest& request) {
 
 std::vector<std::string> Proxy::hint_digest() const {
   std::vector<std::string> digest;
+  std::vector<cache::ObjectId> ids;
   for (const auto& shard : shards_) {
     if (digest.size() >= options_.max_hint_entries) break;
     const core::sync::MutexLock lock(shard->mutex);
-    for (const std::string& host : shard->lru) {  // front = most recent
-      if (digest.size() >= options_.max_hint_entries) break;
-      digest.push_back(host);
-    }
+    ids.clear();
+    shard->lru.most_recent(options_.max_hint_entries - digest.size(), ids);
+    for (const cache::ObjectId id : ids) digest.push_back(shard->by_id[id]->first);
   }
   return digest;
 }

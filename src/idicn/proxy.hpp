@@ -32,21 +32,18 @@
 // same worker keeps flowing while a MISS fetch is in flight). The
 // synchronous handle_http drives the identical machine with a null
 // executor, where every transport hop completes inline. The content store
-// is striped across Options::cache_shards shards (host-hashed, each a
-// private entries-map + LRU list + byte budget behind its own Mutex); shard
-// locks are never held across network I/O or a client respond — a stale
-// hit snapshots its validators, revalidates unlocked, then re-locks to
-// renew. Stats is relaxed-atomic, so any thread may sample it while
-// workers serve. add_peer() is setup-time only — call it before serving
-// starts.
-// cache_shards=1 (the default) keeps hit/eviction behavior byte-identical
-// to the single-threaded PR-3 proxy; with S shards each shard caches its
-// slice of the host space in capacity_bytes/S.
+// is striped across Options::cache_shards shards (host-hashed, each behind
+// its own Mutex). A shard is a host→entry map plus a cache::LruCache, the
+// LRU the simulator runs: it holds the shard's slice of the byte budget
+// (capacity_bytes/S with S shards) and picks every victim. Shard locks are
+// never held across network I/O or a client respond — a stale hit
+// snapshots its validators, revalidates unlocked, then re-locks to renew.
+// Stats is relaxed-atomic, so any thread may sample it while workers serve.
+// add_peer() is setup-time only — call it before serving starts.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -54,6 +51,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cache/lru_cache.hpp"
 #include "core/buffer.hpp"
 #include "core/sync.hpp"
 #include "idicn/metalink.hpp"
@@ -246,30 +244,37 @@ private:
     std::string etag;          ///< validator for conditional refreshes
     net::Address fetched_from; ///< where a revalidation should go
     std::uint64_t stored_at_ms = 0;
-    std::list<std::string>::iterator lru_position;
+    cache::ObjectId id = 0;  ///< this entry's id in its shard's LRU
     /// The header fields of a plain-client HIT (no proof), built once at
     /// admission by the same code that heads every other response: a HIT
     /// copies them instead of re-encoding metadata and re-scanning fields.
     net::HeaderMap hit_headers;
   };
 
-  /// One lock stripe of the content store: a private host→entry map, LRU
-  /// list, and byte budget. All serving state is guarded by `mutex`; the
-  /// capacity slice is immutable after construction. Every key is a
-  /// canonical SelfCertifyingName::host() (FetchOp admits nothing else), so
-  /// a key found by a request's lowercased host proves that host a valid
-  /// name; the transparent comparator looks it up without a copy.
+  /// One lock stripe of the content store: a private host→entry map and
+  /// an LRU over shard-local ids, sized to the shard's capacity slice. All
+  /// of it is guarded by `mutex`. Every key is a canonical
+  /// SelfCertifyingName::host() (FetchOp admits nothing else), so a key
+  /// found by a request's lowercased host proves that host a valid name;
+  /// the transparent comparator looks it up without a copy.
   struct CacheShard {
+    using Entries = std::map<std::string, Entry, std::less<>>;
+
+    explicit CacheShard(std::uint64_t slice_bytes) : lru(slice_bytes) {}
+
     mutable core::sync::Mutex mutex;
-    std::map<std::string, Entry, std::less<>> entries IDICN_GUARDED_BY(mutex);
-    std::list<std::string> lru IDICN_GUARDED_BY(mutex);  ///< front = most recent
+    Entries entries IDICN_GUARDED_BY(mutex);
+    /// Recency and the byte budget: each entry is its id, sized by its
+    /// body, and insert's victims are the entries to erase.
+    cache::LruCache lru IDICN_GUARDED_BY(mutex);
+    std::vector<Entries::iterator> by_id IDICN_GUARDED_BY(mutex);  ///< id → entry
+    std::vector<cache::ObjectId> free_ids IDICN_GUARDED_BY(mutex);  ///< ids to reuse
+    std::vector<cache::ObjectId> evicted IDICN_GUARDED_BY(mutex);  ///< insert's, reused
     /// Objects currently being fetched through this shard: later requests
     /// for the same host join the in-flight stream instead of fetching
     /// again. Retired (erased) when the fetch completes or fails.
     std::map<std::string, std::shared_ptr<detail::Transit>> transit
         IDICN_GUARDED_BY(mutex);
-    std::uint64_t used_bytes IDICN_GUARDED_BY(mutex) = 0;
-    std::uint64_t capacity_bytes = 0;  ///< this shard's slice; construction-time
   };
 
   [[nodiscard]] CacheShard& shard_for(std::string_view host);
@@ -317,12 +322,10 @@ private:
   /// streams from upstream (X-Cache: STREAM).
   net::HttpResponse serve_transit(const std::shared_ptr<detail::Transit>& transit,
                                   bool full_metadata);
-  /// True when admitted (entry moved into the shard); false when the body
-  /// exceeds the shard's capacity slice (entry untouched).
+  /// True when admitted (entry moved into the shard, the LRU's victims
+  /// erased); false when the body exceeds the shard's capacity slice or an
+  /// LRU entry's 32-bit size (entry untouched).
   bool cache_store(CacheShard& shard, const std::string& host, Entry& entry)
-      IDICN_REQUIRES(shard.mutex);
-  void touch(CacheShard& shard, Entry& entry) IDICN_REQUIRES(shard.mutex);
-  void evict_until_fits(CacheShard& shard, std::uint64_t incoming)
       IDICN_REQUIRES(shard.mutex);
 
   net::Transport* net_;

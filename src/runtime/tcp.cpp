@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -33,14 +32,6 @@ bool set_nonblocking(int fd) {
 bool set_nodelay(int fd) {
   const int one = 1;
   return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
-}
-
-bool set_io_timeout(int fd, int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0 &&
-         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) == 0;
 }
 
 bool reuseport_supported() {
@@ -100,32 +91,6 @@ int listen_tcp(std::uint16_t port, std::uint16_t* bound_port, std::string* error
       return -1;
     }
     *bound_port = ntohs(bound.sin_port);
-  }
-  return fd.release();
-}
-
-int connect_tcp(const std::string& host, std::uint16_t port, int timeout_ms,
-                std::string* error) {
-  // Connect non-blocking so the timeout is enforceable, then flip back.
-  ScopedFd fd(connect_tcp_nonblocking(host, port, error));
-  if (!fd.valid()) return -1;
-  pollfd pfd{fd.get(), POLLOUT, 0};
-  if (::poll(&pfd, 1, timeout_ms) <= 0) {
-    if (error != nullptr) *error = "connect timeout to " + host;
-    return -1;
-  }
-  int soerr = 0;
-  socklen_t len = sizeof(soerr);
-  if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 || soerr != 0) {
-    if (error != nullptr) {
-      *error = std::string("connect: ") + std::strerror(soerr != 0 ? soerr : errno);
-    }
-    return -1;
-  }
-  const int flags = ::fcntl(fd.get(), F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd.get(), F_SETFL, flags & ~O_NONBLOCK) != 0) {
-    set_error(error, "fcntl");
-    return -1;
   }
   return fd.release();
 }

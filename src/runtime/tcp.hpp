@@ -1,7 +1,6 @@
 // Thin POSIX TCP helpers for the runtime: RAII fds (ScopedFd), non-blocking
 // setup, loopback listeners with ephemeral-port support (listen_tcp), and
-// the non-blocking connect every client dials with. The blocking connect
-// and set_io_timeout are helpers for tests that speak raw sockets.
+// the non-blocking connect every client dials with.
 // Everything returns errors by value — the runtime treats socket failures
 // as data, not exceptions.
 #pragma once
@@ -39,8 +38,6 @@ private:
 
 bool set_nonblocking(int fd);
 bool set_nodelay(int fd);
-/// SO_RCVTIMEO + SO_SNDTIMEO for blocking sockets (tests).
-bool set_io_timeout(int fd, int timeout_ms);
 
 /// Extra listener behavior for listen_tcp().
 struct ListenOptions {
@@ -61,12 +58,6 @@ struct ListenOptions {
 /// stores a reason in `error` when non-null.
 int listen_tcp(std::uint16_t port, std::uint16_t* bound_port, std::string* error,
                const ListenOptions& options = {});
-
-/// Blocking connect to `host`:`port` with a timeout, for tests: a
-/// connect_tcp_nonblocking() waited out with poll(2), then switched back
-/// to blocking mode. -1 on failure (reason in `error` when non-null).
-int connect_tcp(const std::string& host, std::uint16_t port, int timeout_ms,
-                std::string* error);
 
 /// Start a non-blocking connect to `host`:`port` and return the fd with
 /// the connect possibly still in progress (EINPROGRESS is success). The

@@ -21,9 +21,10 @@
 //     oracle (see sibling_directory.hpp);
 //   * origin tier: each PoP's reverse proxy serves the objects that PoP
 //     owns under core::OriginMap, so per-PoP origin load is comparable;
-//   * budgets: cache::compute_budget(Uniform) per leaf, converted to bytes
-//     (every object is exactly object_bytes long, making the proxy's
-//     byte-LRU behave object-for-object like the simulator's LRU).
+//   * budgets: cache::compute_budget(Uniform) per leaf, converted to bytes.
+//     Every object is exactly object_bytes long, so the proxy's
+//     cache::LruCache, counting bytes, evicts object for object like the
+//     simulator's, which counts objects.
 // See comparison.hpp for the diff harness itself.
 #pragma once
 

@@ -1,74 +1,14 @@
 #include "workload/trace.hpp"
 
-#include <charconv>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 #include <unordered_set>
 
 namespace idicn::workload {
-namespace {
-
-template <typename T>
-T parse_number(std::string_view text, const char* what) {
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    throw std::runtime_error(std::string("trace csv: bad ") + what + ": " +
-                             std::string(text));
-  }
-  return value;
-}
-
-}  // namespace
 
 std::uint32_t Trace::distinct_objects() const {
   std::unordered_set<std::uint32_t> seen;
   seen.reserve(requests.size() / 4 + 1);
   for (const Request& r : requests) seen.insert(r.object);
   return static_cast<std::uint32_t>(seen.size());
-}
-
-void write_trace_csv(std::ostream& out, const Trace& trace) {
-  out << "# trace: " << trace.name << "\n";
-  out << "# objects: " << trace.object_count << "\n";
-  for (const Request& r : trace.requests) {
-    out << r.object << ',' << r.size << '\n';
-  }
-}
-
-Trace read_trace_csv(std::istream& in) {
-  Trace trace;
-  std::string line;
-
-  if (!std::getline(in, line) || line.rfind("# trace: ", 0) != 0) {
-    throw std::runtime_error("trace csv: missing '# trace:' header");
-  }
-  trace.name = line.substr(9);
-
-  if (!std::getline(in, line) || line.rfind("# objects: ", 0) != 0) {
-    throw std::runtime_error("trace csv: missing '# objects:' header");
-  }
-  trace.object_count = parse_number<std::uint32_t>(
-      std::string_view(line).substr(11), "object count");
-
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t comma = line.find(',');
-    if (comma == std::string::npos) {
-      throw std::runtime_error("trace csv: missing comma: " + line);
-    }
-    Request r;
-    r.object = parse_number<std::uint32_t>(std::string_view(line).substr(0, comma),
-                                           "object id");
-    r.size = parse_number<std::uint64_t>(std::string_view(line).substr(comma + 1),
-                                         "object size");
-    if (r.object >= trace.object_count) {
-      throw std::runtime_error("trace csv: object id out of range: " + line);
-    }
-    trace.requests.push_back(r);
-  }
-  return trace;
 }
 
 }  // namespace idicn::workload

@@ -1,16 +1,14 @@
-// Request traces and their on-disk form.
+// Request traces.
 //
 // The paper's CDN logs carry four fields per entry: anonymized client IP,
 // anonymized URL, object size, and whether the request was served locally.
 // Our Request mirrors the fields the simulation consumes (object identity
 // and size); client attachment (PoP + leaf) is assigned by the simulator
 // per §4.2 ("assign each request to a PoP with probability proportional to
-// population"). Traces round-trip through a simple CSV form so synthetic
-// traces can be inspected or replayed.
+// population").
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -31,11 +29,5 @@ struct Trace {
   /// The distinct objects actually referenced (≤ object_count).
   [[nodiscard]] std::uint32_t distinct_objects() const;
 };
-
-/// Serialize as "object,size" lines with a two-line header.
-void write_trace_csv(std::ostream& out, const Trace& trace);
-
-/// Parse the CSV form; throws std::runtime_error on malformed input.
-[[nodiscard]] Trace read_trace_csv(std::istream& in);
 
 }  // namespace idicn::workload

@@ -31,7 +31,7 @@ TEST(AccessTree, ParentChildRelations) {
   EXPECT_EQ(shape.parent(2), 0u);
   EXPECT_EQ(shape.first_child(0), 1u);
   EXPECT_EQ(shape.first_child(1), 3u);
-  EXPECT_THROW(shape.parent(0), std::invalid_argument);
+  EXPECT_THROW((void)shape.parent(0), std::invalid_argument);
   EXPECT_THROW((void)shape.first_child(shape.leaf(0)), std::invalid_argument);
 }
 
@@ -81,9 +81,9 @@ TEST(AccessTree, WithLeafCount) {
 
 TEST(AccessTree, OutOfRangeChecks) {
   const AccessTreeShape shape(2, 2);
-  EXPECT_THROW(shape.level_of(7), std::out_of_range);
-  EXPECT_THROW(shape.leaf(4), std::out_of_range);
-  EXPECT_THROW(shape.parent(7), std::out_of_range);
+  EXPECT_THROW((void)shape.level_of(7), std::out_of_range);
+  EXPECT_THROW((void)shape.leaf(4), std::out_of_range);
+  EXPECT_THROW((void)shape.parent(7), std::out_of_range);
 }
 
 struct ShapeParam {

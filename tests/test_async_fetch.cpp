@@ -38,6 +38,7 @@
 #include "runtime/server_group.hpp"
 #include "runtime/socket_net.hpp"
 #include "runtime/tcp.hpp"
+#include "tcp_test_util.hpp"
 
 namespace {
 

@@ -213,22 +213,69 @@ TEST(IdicnFlow, ProxyCacheEvictsUnderPressure) {
   Proxy tiny(&d.net, "tiny.ad1", "nrs.consortium", &d.dns, options);
   d.net.attach("tiny.ad1", &tiny);
 
+  const auto get = [&tiny](const SelfCertifyingName& name) {
+    net::HttpRequest request;
+    request.method = "GET";
+    request.target = "http://" + name.host() + "/";
+    return tiny.handle_http(request, "c");
+  };
+  const auto cached = [&tiny](const std::vector<SelfCertifyingName>& held) {
+    std::vector<std::string> hosts;
+    for (const auto& name : held) {
+      if (tiny.is_cached(name.host())) hosts.push_back(name.host());
+    }
+    return hosts;
+  };
+
   std::vector<SelfCertifyingName> names;
   for (int i = 0; i < 5; ++i) {
     names.push_back(
         d.publish("obj-" + std::to_string(i), "0123456789abcdef"));  // 16 bytes
   }
   for (const auto& name : names) {
-    net::HttpRequest request;
-    request.method = "GET";
-    request.target = "http://" + name.host() + "/";
-    EXPECT_EQ(tiny.handle_http(request, "c").status, 200);
+    EXPECT_EQ(get(name).status, 200);
   }
   EXPECT_LE(tiny.cached_bytes(), 48u);
   EXPECT_GT(tiny.stats().evictions, 0u);
   // Most recent object is cached, the oldest is not.
   EXPECT_TRUE(tiny.is_cached(names.back().host()));
   EXPECT_FALSE(tiny.is_cached(names.front().host()));
+  EXPECT_EQ(tiny.stats().evictions, 2u);  // obj-0 and obj-1
+
+  // A HIT on the oldest held entry (obj-2) makes obj-3 the next victim.
+  EXPECT_EQ(get(names[2]).headers.get("X-Cache"), "HIT");
+  names.push_back(d.publish("obj-5", "fedcba9876543210"));
+  EXPECT_EQ(get(names[5]).headers.get("X-Cache"), "MISS");
+  EXPECT_EQ(cached(names), (std::vector<std::string>{names[2].host(), names[4].host(),
+                                                     names[5].host()}));
+  EXPECT_EQ(tiny.stats().evictions, 3u);
+
+  // Recency is now obj-5, obj-2, obj-4. A 32-byte body needs two victims,
+  // the two least recent; an 8-byte body then needs one, obj-5, the least
+  // recent, not the largest.
+  names.push_back(d.publish("big", std::string(32, 'b')));
+  EXPECT_EQ(get(names[6]).headers.get("X-Cache"), "MISS");
+  EXPECT_EQ(cached(names), (std::vector<std::string>{names[5].host(), names[6].host()}));
+  EXPECT_EQ(tiny.stats().evictions, 5u);
+  EXPECT_EQ(tiny.cached_bytes(), 16u + 32u);
+  names.push_back(d.publish("small", std::string(8, 's')));
+  EXPECT_EQ(get(names[7]).headers.get("X-Cache"), "MISS");
+  EXPECT_EQ(cached(names), (std::vector<std::string>{names[6].host(), names[7].host()}));
+  EXPECT_EQ(tiny.stats().evictions, 6u);
+  EXPECT_EQ(tiny.cached_bytes(), 32u + 8u);
+  EXPECT_EQ(tiny.cached_objects(), 2u);
+
+  // A body larger than the whole capacity is served, but neither cached
+  // nor allowed to evict anything.
+  const SelfCertifyingName huge = d.publish("huge", std::string(49, 'h'));
+  const net::HttpResponse response = get(huge);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.headers.get("X-Cache"), "MISS");
+  EXPECT_EQ(response.full_body(), std::string(49, 'h'));
+  EXPECT_FALSE(tiny.is_cached(huge.host()));
+  EXPECT_EQ(cached(names), (std::vector<std::string>{names[6].host(), names[7].host()}));
+  EXPECT_EQ(tiny.stats().evictions, 6u);
+  EXPECT_EQ(tiny.cached_bytes(), 32u + 8u);
 }
 
 TEST(IdicnFlow, PublisherDelegationIsFollowed) {

@@ -331,9 +331,14 @@ struct PacedDeployment {
   SelfCertifyingName name{"trickle",
                           SelfCertifyingName::publisher_id(signer.root())};
 
+  static Proxy::Options proxy_options(bool verify) {
+    Proxy::Options options;
+    options.verify = verify;
+    return options;
+  }
+
   explicit PacedDeployment(bool verify)
-      : proxy{&net, "cache.ad1", "nrs.consortium", &dns,
-              Proxy::Options{.verify = verify}},
+      : proxy{&net, "cache.ad1", "nrs.consortium", &dns, proxy_options(verify)},
         proxy_server{&proxy, "cache.ad1"} {
     nrs_server.start();
     upstream_server.start();

@@ -22,6 +22,7 @@
 #include "runtime/poller.hpp"
 #include "runtime/socket_net.hpp"
 #include "runtime/tcp.hpp"
+#include "tcp_test_util.hpp"
 #include "runtime/timer_wheel.hpp"
 
 namespace {

@@ -28,6 +28,7 @@
 #include "runtime/http_client.hpp"
 #include "runtime/socket_net.hpp"
 #include "runtime/tcp.hpp"
+#include "tcp_test_util.hpp"
 #include "workload/size_model.hpp"
 
 namespace {
@@ -61,12 +62,19 @@ struct SocketDeployment {
     return options;
   }
 
+  static Proxy::Options proxy_options(std::size_t workers,
+                                      std::uint64_t capacity_bytes) {
+    Proxy::Options options;
+    options.capacity_bytes = capacity_bytes;
+    options.cache_shards = workers;
+    return options;
+  }
+
   explicit SocketDeployment(
       std::size_t proxy_workers = 1,
       std::uint64_t capacity_bytes = Proxy::Options{}.capacity_bytes)
       : proxy{&net, "cache.ad1", "nrs.consortium", &dns,
-              Proxy::Options{.capacity_bytes = capacity_bytes,
-                             .cache_shards = proxy_workers}},
+              proxy_options(proxy_workers, capacity_bytes)},
         proxy_server{&proxy, "cache.ad1", worker_options(proxy_workers)} {
     nrs_server.start();
     origin_server.start();

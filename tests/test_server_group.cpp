@@ -24,6 +24,7 @@
 #include "runtime/http_client.hpp"
 #include "runtime/server_group.hpp"
 #include "runtime/tcp.hpp"
+#include "tcp_test_util.hpp"
 
 namespace {
 

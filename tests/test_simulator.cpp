@@ -78,7 +78,9 @@ TEST(Simulator, EdgeOnlyPlacesCachesAtLeavesOnly) {
   for (topology::GlobalNodeId n = 0; n < f.network.node_count(); ++n) {
     const bool is_leaf = f.network.level_of(n) == f.network.tree().depth();
     EXPECT_EQ(sim.is_cache_site(n), is_leaf);
-    if (!is_leaf) EXPECT_EQ(sim.cache_at(n), nullptr);
+    if (!is_leaf) {
+      EXPECT_EQ(sim.cache_at(n), nullptr);
+    }
   }
   const SimulationMetrics m = sim.run(f.workload);
   // All cache hits happen at leaf level.

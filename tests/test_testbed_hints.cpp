@@ -289,12 +289,17 @@ TEST(HintProtocol, HintDigestIsTruncatedToTheBound) {
   Proxy::Options options;
   options.max_hint_entries = 2;
   HintDeployment d(options);
+  std::vector<SelfCertifyingName> names;
   for (int i = 0; i < 4; ++i) {
-    const auto name =
-        d.publish("object-" + std::to_string(i), "body " + std::to_string(i));
-    EXPECT_EQ(d.get(d.proxy_a, name).status, 200);
+    names.push_back(
+        d.publish("object-" + std::to_string(i), "body " + std::to_string(i)));
+    EXPECT_EQ(d.get(d.proxy_a, names.back()).status, 200);
   }
-  EXPECT_EQ(d.proxy_a.hint_digest().size(), 2u);
+  // A HIT makes the oldest object the most recent: the digest lists it
+  // first, then the newest fetch, and drops the two in between.
+  EXPECT_EQ(d.get(d.proxy_a, names[0]).headers.get("X-Cache"), "HIT");
+  EXPECT_EQ(d.proxy_a.hint_digest(),
+            (std::vector<std::string>{names[0].host(), names[3].host()}));
 }
 
 TEST(HintProtocol, PushHintsDeliversDigestToSiblings) {

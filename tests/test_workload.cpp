@@ -1,4 +1,4 @@
-// Workload substrate tests: Zipf sampling and fitting, trace I/O, synthetic
+// Workload substrate tests: Zipf sampling and fitting, traces, synthetic
 // CDN reconstruction, size models, and the spatial-skew permutation model.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <cmath>
 #include <numeric>
 #include <set>
-#include <sstream>
 
 #include "workload/size_model.hpp"
 #include "workload/spatial_skew.hpp"
@@ -116,38 +115,13 @@ TEST(ZipfFit, TooFewRanksThrow) {
   EXPECT_THROW((void)fit_zipf_mle(one), std::invalid_argument);
 }
 
-// --- trace I/O ---------------------------------------------------------------
-
-TEST(Trace, CsvRoundtrip) {
-  Trace trace;
-  trace.name = "unit";
-  trace.object_count = 10;
-  trace.requests = {{3, 100}, {7, 1}, {3, 100}};
-  std::stringstream buffer;
-  write_trace_csv(buffer, trace);
-  const Trace restored = read_trace_csv(buffer);
-  EXPECT_EQ(restored.name, trace.name);
-  EXPECT_EQ(restored.object_count, trace.object_count);
-  EXPECT_EQ(restored.requests, trace.requests);
-}
+// --- traces ------------------------------------------------------------------
 
 TEST(Trace, DistinctObjects) {
   Trace trace;
   trace.object_count = 10;
   trace.requests = {{1, 1}, {1, 1}, {2, 1}};
   EXPECT_EQ(trace.distinct_objects(), 2u);
-}
-
-TEST(Trace, MalformedCsvRejected) {
-  const auto expect_throw = [](const std::string& text) {
-    std::stringstream buffer(text);
-    EXPECT_THROW((void)read_trace_csv(buffer), std::runtime_error) << text;
-  };
-  expect_throw("");                                        // no headers
-  expect_throw("# trace: x\n");                            // missing objects
-  expect_throw("# trace: x\n# objects: 5\nnocomma\n");     // bad line
-  expect_throw("# trace: x\n# objects: 5\n9,1\n");         // id out of range
-  expect_throw("# trace: x\n# objects: abc\n");            // bad count
 }
 
 // --- synthetic CDN reconstruction --------------------------------------------
