@@ -79,13 +79,6 @@ VerifyResult verify_content(const ContentMetadata& metadata, std::string_view bo
 }
 
 VerifyResult verify_content(const ContentMetadata& metadata,
-                            const core::ChunkedBody& body) {
-  crypto::Sha256 hasher;
-  for (const core::Chunk& chunk : body.chunks()) hasher.update(chunk.view());
-  return verify_content(metadata, hasher.finish());
-}
-
-VerifyResult verify_content(const ContentMetadata& metadata,
                             const crypto::Sha256Digest& body_digest) {
   // 1. The body must hash to the advertised digest.
   if (body_digest != metadata.digest) {

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/buffer.hpp"
 #include "crypto/lamport.hpp"
 #include "crypto/sha256.hpp"
 #include "idicn/name.hpp"
@@ -75,10 +74,5 @@ enum class VerifyResult {
 /// body never needs to be contiguous in memory for verification.
 [[nodiscard]] VerifyResult verify_content(const ContentMetadata& metadata,
                                           const crypto::Sha256Digest& body_digest);
-
-/// Chunk-store variant: hashes the chunks in order (equivalent to hashing
-/// the concatenated body) and runs the same checks.
-[[nodiscard]] VerifyResult verify_content(const ContentMetadata& metadata,
-                                          const core::ChunkedBody& body);
 
 }  // namespace idicn::idicn

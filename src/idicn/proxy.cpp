@@ -344,11 +344,14 @@ std::optional<net::HttpResponse> Proxy::serve_stale(CacheShard& shard,
 // The serving state machine: one heap object per request carrying the
 // entire serve flow — routing, cache fast path, revalidation, peer query,
 // sibling redirect, NRS resolution, location fetches, legacy forward — as
-// uniquely-named continuations chained through Transport::send_async /
-// send_streaming_async. With a real executor each upstream exchange parks
-// the machine and the loop thread returns to its poller; with a null
-// executor every transport hop completes inline and the machine settles
-// before dispatch() returns (the synchronous handle_http contract).
+// uniquely-named continuations. Revalidation, resolution and the legacy
+// forward are buffered Transport::send_async exchanges; every object
+// transfer — peer, sibling, location, direct refetch, race — is one
+// streaming GET that ends in finish_fetch. With a real executor each
+// upstream exchange parks the machine and the loop thread returns to its
+// poller; with a null executor every transport hop completes inline and
+// the machine settles before dispatch() returns (the synchronous
+// handle_http contract).
 //
 // Lifetime: completion lambdas hold shared_ptr self-references, so the
 // machine lives exactly as long as work is outstanding. Cancellation
@@ -409,6 +412,15 @@ public:
   [[nodiscard]] bool settled() const noexcept { return settled_; }
 
 private:
+  /// Where an object transfer goes: a same-AD peer's cache, a sibling
+  /// PoP's cache, or an upstream location (NRS row, mirror, the expired
+  /// copy's source). The tier sets the request's cooperation header, the
+  /// counter and X-Cache mark of a delivered copy, and whether its bytes
+  /// count as origin load.
+  enum class Tier { Peer, Sibling, Origin };
+  /// What a transfer that yields no verified entry runs next.
+  using Resume = void (FetchOp::*)();
+
   /// Exactly-once completion: applies the Range rewrite (idICN path only)
   /// and the PoP attribution header, then fires the respond — unless the
   /// client disconnected, in which case the response is dropped.
@@ -455,7 +467,7 @@ private:
     // directories claim.
     hops_ = parse_hops(request_.headers);
     sibling_query_ = hops_ > 0;
-    cache_only_ = peer_query_ || hops_ >= proxy_->options_.sibling_hop_limit;
+    cache_only_ = peer_query_ || hops_ >= kSiblingHopLimit;
 
     CacheShard& shard = proxy_->shard_for(host_);
 
@@ -572,44 +584,8 @@ private:
       begin_sibling_redirect();
       return;
     }
-    const net::Address peer = proxy_->peers_[peer_index_++];
-    net::HttpRequest query;
-    query.method = "GET";
-    query.target = "http://" + host_ + "/";
-    query.headers.set("Host", host_);
-    query.headers.set(kIcpQueryHeader, "1");
-    query.headers.set(kWantMetadataHeader, "1");
-    auto self = shared_from_this();
-    proxy_->net_->send_async(proxy_->self_, peer, query, exec_,
-                             [self, peer](net::HttpResponse answer) {
-                               self->weigh_peer_answer(peer, std::move(answer));
-                             });
-  }
-
-  void weigh_peer_answer(const net::Address& peer, net::HttpResponse answer) {
-    if (!answer.ok()) {
-      query_next_peer();
-      return;
-    }
-    Entry entry;
-    entry.body = answer.take_body_chunks();
-    entry.content_type =
-        answer.headers.get("Content-Type").value_or("text/plain");
-    entry.etag = answer.headers.get("ETag").value_or("");
-    entry.fetched_from = peer;
-    entry.stored_at_ms = proxy_->net_->now_ms();
-    entry.metadata = ContentMetadata::from_headers(answer.headers);
-    if (proxy_->options_.verify) {
-      // Peers are not more trusted than any other source.
-      if (!entry.metadata || entry.metadata->name != *name_ ||
-          verify_content(*entry.metadata, entry.body) != VerifyResult::Ok) {
-        ++proxy_->stats_.verification_failures;
-        query_next_peer();
-        return;
-      }
-    }
-    ++proxy_->stats_.peer_hits;
-    deliver_entry(std::move(entry), nullptr);
+    fetch_from(Tier::Peer, proxy_->peers_[peer_index_++],
+               &FetchOp::query_next_peer);
   }
 
   // Cross-PoP cooperation: the directory claims a sibling PoP holds the
@@ -622,8 +598,7 @@ private:
     holders_tried_ = 0;
     // Forwarding would push the chain past the hop limit: stop here (the
     // receiving side enforces the same bound, so both ends agree).
-    if (proxy_->directory_ != nullptr &&
-        hops_ + 1 <= proxy_->options_.sibling_hop_limit) {
+    if (proxy_->directory_ != nullptr && hops_ + 1 <= kSiblingHopLimit) {
       holders_ = proxy_->directory_->holders(host_);
     }
     query_next_sibling();
@@ -633,31 +608,13 @@ private:
     if (halt_if_cancelled()) return;
     while (holder_index_ < holders_.size() &&
            holders_tried_ < proxy_->options_.sibling_fanout) {
-      const net::Address holder = holders_[holder_index_++];
+      const net::Address& holder = holders_[holder_index_++];
       if (holder == proxy_->self_) continue;
       ++holders_tried_;  // stale-hint damage control: bounded candidates
-      auto self = shared_from_this();
-      start_fetch(holder, hops_ + 1,
-                  [self, holder](std::optional<Entry> entry, bool) {
-                    self->weigh_sibling_fetch(holder, std::move(entry));
-                  });
+      fetch_from(Tier::Sibling, holder, &FetchOp::query_next_sibling);
       return;
     }
     after_siblings();
-  }
-
-  void weigh_sibling_fetch(const net::Address& holder,
-                           std::optional<Entry> entry) {
-    if (entry) {
-      ++proxy_->stats_.sibling_hits;
-      deliver_entry(std::move(*entry), "SIBLING");
-      return;
-    }
-    // The sibling answered 404 (hint stale — the copy was evicted), failed
-    // verification, or is down: forget the hint so the next miss does not
-    // chase the same dead end, and try the next-nearest holder.
-    proxy_->directory_->forget(holder, host_);
-    query_next_sibling();
   }
 
   void after_siblings() {
@@ -726,7 +683,7 @@ private:
       // congestion-aware race instead of a serial ladder.
       std::vector<net::Address> sources = multi_sources();
       if (sources.size() >= 2) {
-        start_multi_fetch(std::move(sources));
+        race(std::move(sources));
         return;
       }
       fetch_next_location();
@@ -740,14 +697,11 @@ private:
     // from — sidestep resolution and refetch directly (origin may be fine).
     if (stale_ && !stale_fetched_from_.empty()) {
       if (halt_if_cancelled()) return;
-      auto self = shared_from_this();
-      start_fetch(stale_fetched_from_, 0,
-                  [self](std::optional<Entry> entry, bool) {
-                    self->weigh_direct_refetch(std::move(entry));
-                  });
+      fetch_from(Tier::Origin, stale_fetched_from_,
+                 &FetchOp::upstream_exhausted);
       return;
     }
-    degrade_or_resolution_error();
+    upstream_exhausted();
   }
 
   /// The candidate replica set for a multi-source MISS: every NRS row,
@@ -775,76 +729,27 @@ private:
   /// proxy's MultiSourceFetcher (RTT-ranked primary, hedged duplicate past
   /// the straggler threshold, parallel range legs on large objects). The
   /// fetcher synthesizes a plain 200 head even when the body arrives as
-  /// joined ranges, so the FetchSink / verification / transit machinery is
-  /// exactly the serial path's.
-  void start_multi_fetch(std::vector<net::Address> sources) {
+  /// joined ranges, so the request, sink and finish are fetch_from's. If
+  /// the race fails — every source errored, or the winner's content did
+  /// not verify — the serial location ladder takes over, skipping the
+  /// replica the race blamed: multi-source may make a MISS faster, it must
+  /// never make one less available.
+  void race(std::vector<net::Address> sources) {
     if (halt_if_cancelled()) return;
-    net::HttpRequest fetch;
-    fetch.method = "GET";
-    fetch.target = "/";
-    fetch.headers.set("Host", host_);
-    fetch.headers.set(kWantMetadataHeader, "1");  // this proxy verifies
-
-    auto sink = std::make_shared<FetchSink>(
-        [proxy = proxy_, host = host_](
-            const std::shared_ptr<detail::Transit>& transit) {
-          CacheShard& shard = proxy->shard_for(host);
-          const core::sync::MutexLock lock(shard.mutex);
-          shard.transit[host] = transit;
-        },
-        halt_flag_);
+    auto sink = make_sink();
     auto self = shared_from_this();
     proxy_->fetcher_->fetch_from_best(
-        proxy_->self_, std::move(sources), std::move(fetch), sink, exec_,
+        proxy_->self_, std::move(sources), object_request(Tier::Origin), sink,
+        exec_,
         [self, sink](net::HttpResponse head,
                      const runtime::MultiSourceFetcher::Result& result) {
           // The winning replica is where revalidations should go back to.
-          const net::Address source = !result.source.empty()
-                                          ? result.source
-                                          : self->locations_.front();
-          self->finish_fetch(
-              *sink, source, 0, std::move(head),
-              [self, source](std::optional<Entry> entry,
-                             bool transport_failure) {
-                self->weigh_multi_fetch(source, std::move(entry),
-                                        transport_failure);
-              });
+          self->race_source_ = !result.source.empty()
+                                   ? result.source
+                                   : self->locations_.front();
+          self->finish_fetch(*sink, Tier::Origin, self->race_source_,
+                             std::move(head), &FetchOp::fetch_next_location);
         });
-  }
-
-  void weigh_multi_fetch(const net::Address& source, std::optional<Entry> entry,
-                         bool transport_failure) {
-    if (transport_failure) fetch_failed_ = true;
-    if (entry) {
-      deliver_entry(std::move(*entry), nullptr);
-      return;
-    }
-    // The race failed — every source errored, or the winner's content did
-    // not verify. Fall back to the serial location ladder, skipping the
-    // replica the race already proved bad: multi-source may make a MISS
-    // faster, it must never make one less available.
-    multi_failed_source_ = source;
-    fetch_next_location();
-  }
-
-  void weigh_direct_refetch(std::optional<Entry> entry) {
-    if (entry) {
-      deliver_entry(std::move(*entry), nullptr);
-      return;
-    }
-    degrade_or_resolution_error();
-  }
-
-  void degrade_or_resolution_error() {
-    ++proxy_->stats_.upstream_errors;
-    if (stale_) {
-      if (auto degraded = proxy_->serve_stale(proxy_->shard_for(host_), host_,
-                                              full_metadata_)) {
-        settle(std::move(*degraded));
-        return;
-      }
-    }
-    settle(net::make_response(504, "name resolution unavailable"));
   }
 
   void fetch_next_location() {
@@ -852,37 +757,24 @@ private:
     // A source the multi-source race already consumed (and whose content
     // failed to deliver or verify) is not retried serially.
     while (location_index_ < locations_.size() &&
-           locations_[location_index_] == multi_failed_source_) {
+           locations_[location_index_] == race_source_) {
       ++location_index_;
     }
     if (location_index_ >= locations_.size()) {
-      all_locations_failed();
+      upstream_exhausted();
       return;
     }
-    const net::Address location = locations_[location_index_++];
-    auto self = shared_from_this();
-    start_fetch(location, 0,
-                [self](std::optional<Entry> entry, bool transport_failure) {
-                  self->weigh_location_fetch(std::move(entry),
-                                             transport_failure);
-                });
+    fetch_from(Tier::Origin, locations_[location_index_++],
+               &FetchOp::fetch_next_location);
   }
 
-  void weigh_location_fetch(std::optional<Entry> entry,
-                            bool transport_failure) {
-    if (transport_failure) fetch_failed_ = true;
-    if (entry) {
-      deliver_entry(std::move(*entry), nullptr);
-      return;
-    }
-    fetch_next_location();
-  }
-
-  void all_locations_failed() {
-    if (fetch_failed_) {
-      // At least one location failed at the transport layer (vs content
-      // that merely failed verification): degrade to the expired copy if
-      // we hold one rather than surfacing the error.
+  /// The serve-stale tail: every upstream path is spent. An NRS outage, or
+  /// a location that failed at the transport layer (vs content that merely
+  /// failed verification), degrades to the expired copy when this proxy
+  /// holds one rather than surfacing the error.
+  void upstream_exhausted() {
+    const bool resolved = !locations_.empty();
+    if (!resolved || fetch_failed_) {
       ++proxy_->stats_.upstream_errors;
       if (stale_) {
         if (auto degraded = proxy_->serve_stale(proxy_->shard_for(host_),
@@ -892,7 +784,9 @@ private:
         }
       }
     }
-    settle(net::make_response(502, "no location provided authentic content"));
+    settle(resolved
+               ? net::make_response(502, "no location provided authentic content")
+               : net::make_response(504, "name resolution unavailable"));
   }
 
   void legacy_forward() {
@@ -917,26 +811,27 @@ private:
                              });
   }
 
-  /// fetch_and_verify, continuation style: streaming GET of `host_` from
-  /// `location` (hops > 0 marks a sibling fetch and rides along as
-  /// X-IdICN-Hops), chunks accumulating in a Transit that concurrent
-  /// requests join mid-flight while the digest is computed incrementally —
-  /// the body is never reassembled into one contiguous buffer. `k` gets
-  /// the verified entry, or nullopt plus whether the failure was
-  /// transport-layer (unreachable, 5xx) as opposed to a clean negative or
-  /// a verification failure.
-  void start_fetch(net::Address location, std::size_t hops,
-                   std::function<void(std::optional<Entry>, bool)> k) {
+  /// Every object GET, whatever the tier: origin-form `/` with `Host`,
+  /// asking for the proof (this proxy verifies). A peer query is cache-only
+  /// (kIcpQueryHeader); a sibling fetch carries its forwarding depth so
+  /// the receiving proxy can enforce kSiblingHopLimit (loop safety).
+  [[nodiscard]] net::HttpRequest object_request(Tier tier) const {
     net::HttpRequest fetch;
     fetch.method = "GET";
     fetch.target = "/";
     fetch.headers.set("Host", host_);
-    fetch.headers.set(kWantMetadataHeader, "1");  // this proxy verifies
-    // A sibling fetch carries its forwarding depth so the receiving proxy
-    // can enforce Options::sibling_hop_limit (loop safety).
-    if (hops > 0) fetch.headers.set(kHopsHeader, std::to_string(hops));
+    fetch.headers.set(kWantMetadataHeader, "1");
+    if (tier == Tier::Peer) fetch.headers.set(kIcpQueryHeader, "1");
+    if (tier == Tier::Sibling) {
+      fetch.headers.set(kHopsHeader, std::to_string(hops_ + 1));
+    }
+    return fetch;
+  }
 
-    auto sink = std::make_shared<FetchSink>(
+  /// The sink of every transfer: a 200 head's Transit goes into the
+  /// shard's transit map, where concurrent requests join it (STREAM).
+  [[nodiscard]] std::shared_ptr<FetchSink> make_sink() const {
+    return std::make_shared<FetchSink>(
         [proxy = proxy_, host = host_](
             const std::shared_ptr<detail::Transit>& transit) {
           CacheShard& shard = proxy->shard_for(host);
@@ -944,21 +839,33 @@ private:
           shard.transit[host] = transit;
         },
         halt_flag_);
-    auto self = shared_from_this();
-    // Built before the send call: capturing `location` here by move while
-    // also passing it as the destination would read a moved-from string
-    // (argument evaluation order is unspecified).
-    net::SendCallback done = [self, sink, location, hops,
-                              k = std::move(k)](net::HttpResponse head) {
-      self->finish_fetch(*sink, location, hops, std::move(head), k);
-    };
-    proxy_->net_->send_streaming_async(proxy_->self_, location, fetch, sink,
-                                       exec_, std::move(done));
   }
 
-  void finish_fetch(FetchSink& sink, const net::Address& location,
-                    std::size_t hops, net::HttpResponse head,
-                    const std::function<void(std::optional<Entry>, bool)>& k) {
+  /// Streaming GET of `host_` from one `source`, chunks accumulating in a
+  /// Transit that concurrent requests join mid-flight while the digest is
+  /// computed incrementally — the body is never reassembled into one
+  /// contiguous buffer. A transfer that yields no verified entry continues
+  /// with `resume`.
+  void fetch_from(Tier tier, net::Address source, Resume resume) {
+    auto sink = make_sink();
+    auto self = shared_from_this();
+    // Built before the send call: capturing `source` here by move while
+    // also passing it as the destination would read a moved-from string
+    // (argument evaluation order is unspecified).
+    net::SendCallback done = [self, sink, tier, source,
+                              resume](net::HttpResponse head) {
+      self->finish_fetch(*sink, tier, source, std::move(head), resume);
+    };
+    proxy_->net_->send_streaming_async(proxy_->self_, source,
+                                       object_request(tier), sink, exec_,
+                                       std::move(done));
+  }
+
+  /// Where every transfer ends: one verification — digest, the proof's
+  /// name against the requested one, signature — whichever tier delivered
+  /// the bytes, since no source is trusted more than another.
+  void finish_fetch(FetchSink& sink, Tier tier, const net::Address& source,
+                    net::HttpResponse head, Resume resume) {
     CacheShard& shard = proxy_->shard_for(host_);
     // Retire the transit from the shard map (if this fetch published one
     // and it was not replaced by a competing fetch) and resolve its end
@@ -979,25 +886,33 @@ private:
         shard.transit.erase(it);
       }
     };
+    // No verified entry: a sibling answered 404 (hint stale — the copy was
+    // evicted), failed verification, or is down, so its hint is forgotten
+    // and the next miss does not chase the same dead end. A transport
+    // failure (unreachable, 5xx) of a location makes the ladder's end
+    // eligible for serve-stale; a clean negative or bad content does not.
+    const auto give_up = [&](bool transport_failure) {
+      retire(/*failed=*/true);
+      if (tier == Tier::Sibling) proxy_->directory_->forget(source, host_);
+      if (tier == Tier::Origin && transport_failure) fetch_failed_ = true;
+      (this->*resume)();
+    };
 
     if (!head.ok()) {
       // Either the upstream answered non-2xx, or the transport synthesized
       // a failure — possibly *after* body delivery began (mid-body death).
-      retire(/*failed=*/true);
-      k(std::nullopt, head.status >= 500);
+      give_up(head.status >= 500);
       return;
     }
-    if (hops == 0) {
-      // Sibling transfers stay inside the cache tier — only true upstream
-      // (origin/mirror) fetches count toward origin byte load.
-      proxy_->stats_.bytes_from_origin += sink.bytes();
-    }
+    // Peer and sibling transfers stay inside the cache tier — only true
+    // upstream (origin/mirror) fetches count toward origin byte load.
+    if (tier == Tier::Origin) proxy_->stats_.bytes_from_origin += sink.bytes();
 
     Entry entry;
     entry.content_type =
         head.headers.get("Content-Type").value_or("text/plain");
     entry.etag = head.headers.get("ETag").value_or("");
-    entry.fetched_from = location;
+    entry.fetched_from = source;
     entry.stored_at_ms = proxy_->net_->now_ms();
     // Verify with the metadata on_head parsed from the head whose body the
     // sink hashed; no transit means no body was taken, so nothing verifies.
@@ -1007,8 +922,7 @@ private:
       if (!entry.metadata || entry.metadata->name != *name_ ||
           verify_content(*entry.metadata, sink.digest()) != VerifyResult::Ok) {
         ++proxy_->stats_.verification_failures;
-        retire(/*failed=*/true);
-        k(std::nullopt, false);
+        give_up(false);
         return;
       }
     }
@@ -1020,13 +934,17 @@ private:
       entry.body = transit->chunks;
     }
     retire(/*failed=*/false);
-    k(std::move(entry), false);
+    deliver_entry(tier, std::move(entry));
   }
 
-  /// Admit a verified entry and answer the client. A cancelled request
-  /// still admits — joined readers and future requests keep the bytes —
-  /// but skips the serve (settle drops the response anyway).
-  void deliver_entry(Entry entry, const char* cache_mark) {
+  /// Admit a verified entry and answer the client; a copy from the cache
+  /// tier counts as a peer or sibling hit, and a sibling's is marked
+  /// X-Cache: SIBLING. A cancelled request still admits — joined readers
+  /// and future requests keep the bytes — but skips the serve (settle
+  /// drops the response anyway).
+  void deliver_entry(Tier tier, Entry entry) {
+    if (tier == Tier::Peer) ++proxy_->stats_.peer_hits;
+    if (tier == Tier::Sibling) ++proxy_->stats_.sibling_hits;
     CacheShard& shard = proxy_->shard_for(host_);
     if (cancelled_) {
       {
@@ -1038,7 +956,7 @@ private:
     }
     net::HttpResponse response =
         proxy_->store_and_serve(shard, host_, std::move(entry), full_metadata_);
-    if (cache_mark != nullptr) response.headers.set("X-Cache", cache_mark);
+    if (tier == Tier::Sibling) response.headers.set("X-Cache", "SIBLING");
     settle(std::move(response));
   }
 
@@ -1060,7 +978,7 @@ private:
   std::string stale_etag_;
   net::Address stale_fetched_from_;
   std::vector<std::string> stale_mirrors_;  ///< metalink mirrors of the stale copy
-  net::Address multi_failed_source_;  ///< spent by the race; ladder skips it
+  net::Address race_source_;  ///< the race's winner; the ladder skips it
 
   std::size_t peer_index_ = 0;
   std::vector<net::Address> holders_;

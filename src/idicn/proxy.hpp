@@ -25,11 +25,13 @@
 // Threading: handle_http / handle_http_async are safe to call from any
 // number of runtime::ServerGroup workers concurrently. The entire serving
 // flow is one continuation-passing state machine (FetchOp): every upstream
-// exchange — peer query, sibling redirect, NRS resolution, location fetch,
-// revalidation, legacy forward — goes through Transport::send_async /
-// send_streaming_async and parks until the executor resumes it, so a
-// worker's event loop is never blocked on upstream I/O (a cache HIT on the
-// same worker keeps flowing while a MISS fetch is in flight). The
+// exchange parks until the executor resumes it, so a worker's event loop
+// is never blocked on upstream I/O (a cache HIT on the same worker keeps
+// flowing while a MISS fetch is in flight). Revalidation, NRS resolution
+// and the legacy forward are buffered Transport::send_async exchanges.
+// Every object transfer — same-AD peer query, sibling redirect, location
+// fetch, direct refetch, multi-source race — is one streaming GET into a
+// Transit that concurrent requests join, verified once on arrival. The
 // synchronous handle_http drives the identical machine with a null
 // executor, where every transport hop completes inline. The content store
 // is striped across Options::cache_shards shards (host-hashed, each behind
@@ -129,10 +131,6 @@ public:
     /// When non-empty, every response carries `X-IdICN-PoP: <pop_name>` so
     /// testbed clients (and curious humans) can tell which PoP served them.
     std::string pop_name;
-    /// Maximum proxy→proxy forwarding chain for sibling fetches: a request
-    /// whose X-IdICN-Hops already reaches this limit is answered cache-only
-    /// (404 on miss). Hops only ever increment, so redirect loops die here.
-    std::size_t sibling_hop_limit = 2;
     /// Digest-size bound, both directions: push_hints() advertises at most
     /// this many hosts and hint ingestion truncates anything longer, so a
     /// misbehaving (or enormous) sibling cannot bloat the directory.
@@ -353,10 +351,19 @@ inline constexpr const char* kIcpQueryHeader = "X-IdICN-Peer-Query";
 
 /// Proxy→proxy forwarding depth for sibling (cross-PoP) fetches. Absent
 /// means 0 (a client-originated request); each sibling hop forwards with
-/// the value incremented. A receiving proxy at or past its
-/// Options::sibling_hop_limit answers cache-only — the loop-safety valve
-/// of the EDGE-Coop redirect scheme.
+/// the value incremented. A receiving proxy at or past kSiblingHopLimit
+/// answers cache-only — the loop-safety valve of the EDGE-Coop redirect
+/// scheme.
 inline constexpr const char* kHopsHeader = "X-IdICN-Hops";
+
+/// The longest proxy→proxy chain of sibling fetches: a request whose
+/// X-IdICN-Hops already reaches it is answered cache-only (404 on miss),
+/// and hops only ever increment, so redirect loops die here. At 2 a proxy
+/// serving a sibling fetch may redirect one hop further, closer to the
+/// simulator's NearestReplica oracle than a limit of 1. That is safe over
+/// real sockets because upstream fetches park on the event loop: a worker
+/// keeps serving inbound sibling queries while its own fetch is in flight.
+inline constexpr std::size_t kSiblingHopLimit = 2;
 
 /// Identifies a digest POST's sender (its transport address), so the
 /// receiver can attribute the advertised content set in its directory.

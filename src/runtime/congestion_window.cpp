@@ -9,7 +9,7 @@ CubicWindow::CubicWindow(Options options)
     : options_(options),
       window_(options.initial_window),
       ssthresh_(options.initial_ssthresh) {
-  window_ = std::clamp(window_, options_.min_window, options_.max_window);
+  window_ = std::clamp(window_, kMinWindow, options_.max_window);
 }
 
 void CubicWindow::on_ack(std::uint64_t now_ms) {
@@ -34,12 +34,12 @@ void CubicWindow::on_ack(std::uint64_t now_ms) {
     // over one window's worth of acks.
     window_ += (target - window_) / window_;
   }
-  window_ = std::clamp(window_, options_.min_window, options_.max_window);
+  window_ = std::clamp(window_, kMinWindow, options_.max_window);
 }
 
 void CubicWindow::on_loss(std::uint64_t now_ms) {
   w_max_ = window_;
-  window_ = std::max(window_ * options_.beta, options_.min_window);
+  window_ = std::max(window_ * options_.beta, kMinWindow);
   ssthresh_ = window_;
   // K: how long the cubic takes to climb back from the cut to w_max.
   k_seconds_ = std::cbrt(w_max_ * (1.0 - options_.beta) / options_.c);

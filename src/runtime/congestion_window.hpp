@@ -27,11 +27,12 @@ namespace idicn::runtime {
 
 class CubicWindow {
  public:
+  static constexpr double kMinWindow = 1.0;  ///< never choke below one request
+
   struct Options {
     double c = 0.4;                  ///< CUBIC aggressiveness constant
     double beta = 0.7;               ///< multiplicative decrease factor
     double initial_window = 2.0;     ///< requests in flight at cold start
-    double min_window = 1.0;         ///< never choke below one request
     double max_window = 64.0;        ///< per-destination concurrency cap
     double initial_ssthresh = 32.0;  ///< slow-start exit before first loss
   };

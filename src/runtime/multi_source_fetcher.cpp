@@ -684,7 +684,7 @@ std::vector<MultiSourceFetcher::SourceSnapshot> MultiSourceFetcher::snapshot() {
     SourceSnapshot snap;
     snap.address = address;
     snap.srtt_us = dest->est.srtt_us();
-    snap.rtt_p95_us = dest->est.quantile_us(options_.hedge_quantile);
+    snap.rtt_p95_us = dest->est.quantile_us(kHedgeQuantile);
     snap.backoff_shift = dest->est.backoff_shift();
     snap.window = dest->window.window();
     snap.in_flight = dest->in_flight;
@@ -788,15 +788,15 @@ std::uint64_t MultiSourceFetcher::hedge_delay_ms(const net::Address& address) {
     DestState& d = dest_locked(address);
     shift = d.est.backoff_shift();
     delay_us = d.est.has_sample()
-                   ? d.est.quantile_us(options_.hedge_quantile)
+                   ? d.est.quantile_us(kHedgeQuantile)
                    : options_.initial_hedge_delay_ms * 1000;
   }
   for (int i = 0; i < shift; ++i) {
-    if (delay_us > options_.hedge_max_delay_ms * 1000) break;
+    if (delay_us > kHedgeMaxDelayMs * 1000) break;
     delay_us <<= 1;
   }
   return std::clamp(delay_us / 1000, options_.hedge_min_delay_ms,
-                    options_.hedge_max_delay_ms);
+                    kHedgeMaxDelayMs);
 }
 
 void MultiSourceFetcher::note_start(const net::Address& address) {

@@ -35,7 +35,7 @@
 //     requests per upstream. Hedges and range legs *require* window
 //     capacity; the primary attempt prefers sources with capacity but is
 //     never blocked by the window (the proxy bounds its own concurrency) —
-//     an over-budget primary is admitted and counted as window_deferral.
+//     an over-budget primary is admitted.
 //
 // Threading: one fetch's callbacks all run on the caller's executor thread
 // (or inline for synchronous transports); the fetcher object itself is
@@ -66,14 +66,16 @@ struct MultiFetchState;
 
 class MultiSourceFetcher {
  public:
+  /// Straggler threshold: hedge once the best source has been silent for
+  /// this quantile of its recent RTTs.
+  static constexpr double kHedgeQuantile = 0.95;
+  /// Ceiling of the hedge delay (after the Karn 2^shift penalty).
+  static constexpr std::uint64_t kHedgeMaxDelayMs = 2'000;
+
   struct Options {
     // --- hedging ---
     bool hedging_enabled = true;
-    /// Straggler threshold: hedge once the best source has been silent for
-    /// this quantile of its recent RTTs.
-    double hedge_quantile = 0.95;
     std::uint64_t hedge_min_delay_ms = 5;
-    std::uint64_t hedge_max_delay_ms = 2'000;
     /// Hedge delay before the destination has any RTT samples.
     std::uint64_t initial_hedge_delay_ms = 25;
     /// Tokens hedges draw from; first attempts deposit tokens_per_request,
@@ -180,7 +182,7 @@ class MultiSourceFetcher {
   DestState& dest_locked(const net::Address& address) IDICN_REQUIRES(mutex_);
 
   // Selection helpers for the fetch state machine. pick_primary admits the
-  // best non-open source (preferring window capacity, counting deferrals);
+  // best non-open source (preferring window capacity);
   // pick_hedge/pick_leg_source gate extra aggression on capacity.
   std::size_t pick_primary(const std::vector<net::Address>& ranked)
       IDICN_EXCLUDES(mutex_);

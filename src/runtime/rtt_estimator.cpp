@@ -33,28 +33,28 @@ void RttEstimator::on_sample(std::uint64_t rtt_us) {
 }
 
 void RttEstimator::on_retransmit() {
-  if (backoff_shift_ < options_.max_backoff_shift) ++backoff_shift_;
+  if (backoff_shift_ < kMaxBackoffShift) ++backoff_shift_;
 }
 
 std::uint64_t RttEstimator::srtt_us() const noexcept {
-  return samples_seen_ > 0 ? srtt_us_ : options_.initial_rtt_us;
+  return samples_seen_ > 0 ? srtt_us_ : kInitialRttUs;
 }
 
 std::uint64_t RttEstimator::rto_us() const noexcept {
   const std::uint64_t var_term =
-      std::max<std::uint64_t>(4 * rttvar_us_, options_.granularity_us);
+      std::max<std::uint64_t>(4 * rttvar_us_, kGranularityUs);
   std::uint64_t rto = srtt_us() + var_term;
   // Shift with saturation: a capped shift of large values must clamp to
   // max_rto, not wrap.
   for (int i = 0; i < backoff_shift_; ++i) {
-    if (rto > options_.max_rto_us) break;
+    if (rto > kMaxRtoUs) break;
     rto <<= 1;
   }
-  return std::clamp(rto, options_.min_rto_us, options_.max_rto_us);
+  return std::clamp(rto, kMinRtoUs, kMaxRtoUs);
 }
 
 std::uint64_t RttEstimator::quantile_us(double q) const {
-  if (ring_.empty()) return options_.initial_rtt_us;
+  if (ring_.empty()) return kInitialRttUs;
   std::vector<std::uint64_t> sorted(ring_);
   std::sort(sorted.begin(), sorted.end());
   q = std::clamp(q, 0.01, 1.0);
@@ -66,7 +66,7 @@ std::uint64_t RttEstimator::quantile_us(double q) const {
 std::uint64_t RttEstimator::ranking_rtt_us() const noexcept {
   std::uint64_t rtt = srtt_us();
   for (int i = 0; i < backoff_shift_; ++i) {
-    if (rtt > options_.max_rto_us) break;
+    if (rtt > kMaxRtoUs) break;
     rtt <<= 1;
   }
   return rtt;

@@ -30,16 +30,19 @@ namespace idicn::runtime {
 
 class RttEstimator {
  public:
+  /// Assumed RTT for a destination with no samples yet: optimistic enough
+  /// that new replicas get explored, pessimistic enough that a measured
+  /// fast replica outranks an unknown one.
+  static constexpr std::uint64_t kInitialRttUs = 50'000;
+  /// RTO floor and ceiling, applied after the Karn shift.
+  static constexpr std::uint64_t kMinRtoUs = 20'000;
+  static constexpr std::uint64_t kMaxRtoUs = 10'000'000;
+  /// RFC 6298 clock granularity G.
+  static constexpr std::uint64_t kGranularityUs = 1'000;
+  static constexpr int kMaxBackoffShift = 6;  ///< Karn doubling cap (×64)
+
   struct Options {
-    /// Assumed RTT for a destination with no samples yet: optimistic enough
-    /// that new replicas get explored, pessimistic enough that a measured
-    /// fast replica outranks an unknown one.
-    std::uint64_t initial_rtt_us = 50'000;
-    std::uint64_t min_rto_us = 20'000;        ///< RTO floor after shifting
-    std::uint64_t max_rto_us = 10'000'000;    ///< RTO ceiling
-    std::uint64_t granularity_us = 1'000;     ///< RFC 6298 clock granularity G
-    int max_backoff_shift = 6;                ///< Karn doubling cap (×64)
-    std::size_t window = 64;                  ///< quantile ring capacity
+    std::size_t window = 64;  ///< quantile ring capacity
   };
 
   RttEstimator() : RttEstimator(Options{}) {}
@@ -56,7 +59,7 @@ class RttEstimator {
 
   [[nodiscard]] bool has_sample() const noexcept { return samples_seen_ > 0; }
   [[nodiscard]] std::size_t samples() const noexcept { return samples_seen_; }
-  /// Smoothed RTT in µs; options.initial_rtt_us before the first sample.
+  /// Smoothed RTT in µs; kInitialRttUs before the first sample.
   [[nodiscard]] std::uint64_t srtt_us() const noexcept;
   [[nodiscard]] std::uint64_t rttvar_us() const noexcept { return rttvar_us_; }
   [[nodiscard]] int backoff_shift() const noexcept { return backoff_shift_; }
@@ -67,7 +70,7 @@ class RttEstimator {
 
   /// Order statistic over the sample window: the smallest recent sample
   /// ≥ fraction `q` of the window (index ⌈q·n⌉−1 of the sorted window).
-  /// options.initial_rtt_us when no samples exist. q is clamped to (0, 1].
+  /// kInitialRttUs when no samples exist. q is clamped to (0, 1].
   [[nodiscard]] std::uint64_t quantile_us(double q) const;
 
   /// RTT used to *rank* this destination against its replicas:

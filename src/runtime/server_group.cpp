@@ -15,6 +15,7 @@
 
 #include "core/buffer.hpp"
 #include "core/hot_path.hpp"
+#include "net/http_decoder.hpp"
 #include "net/http_internal.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/tcp.hpp"
@@ -301,11 +302,10 @@ class ServerWorker {
     /// respond just fills its slot and lets the dispatch loop drain.
     bool in_handler = false;
 
-    Connection(ScopedFd fd_in, std::string peer_in,
-               const net::HttpDecoder::Limits& limits)
+    Connection(ScopedFd fd_in, std::string peer_in)
         : fd(std::move(fd_in)),
           peer(std::move(peer_in)),
-          decoder(net::HttpDecoder::Mode::Request, limits) {}
+          decoder(net::HttpDecoder::Mode::Request) {}
 
     /// True while any response bytes remain unsent, unproduced, or still
     /// owed by a parked handler.
@@ -350,8 +350,7 @@ class ServerWorker {
     set_nodelay(fd.get());
 
     const int raw = fd.get();
-    auto conn = std::make_unique<Connection>(std::move(fd), std::move(peer),
-                                             options_.decoder_limits);
+    auto conn = std::make_unique<Connection>(std::move(fd), std::move(peer));
     conn->generation = next_generation_++;
     conn->last_activity_ms = loop_->now_ms();
     arm_timer(*conn);

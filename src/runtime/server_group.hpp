@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "core/sync.hpp"
-#include "net/http_decoder.hpp"
 #include "net/sim_net.hpp"
 
 namespace idicn::runtime {
@@ -56,7 +55,6 @@ class ServerGroup {
     /// Retry-After hint (seconds) on over-capacity 503s, so well-behaved
     /// clients back off instead of hammering a saturated worker.
     unsigned retry_after_s = 1;
-    net::HttpDecoder::Limits decoder_limits;
     std::size_t workers = 1;      ///< reactor threads (0 is clamped to 1)
     bool reuseport = true;        ///< try SO_REUSEPORT when workers > 1
     std::uint64_t drain_timeout_ms = 5'000;  ///< stop(): in-flight grace period

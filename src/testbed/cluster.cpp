@@ -18,6 +18,16 @@ runtime::SocketNet::Options testbed_net_options() {
   return options;
 }
 
+/// ServerGroup worker threads per proxy. Upstream fetches park on the
+/// worker's event loop rather than blocking it, so two workers are pure
+/// serving parallelism (inbound sibling queries and hint POSTs keep
+/// flowing even while one worker drains a burst).
+constexpr std::size_t kWorkersPerPop = 2;
+
+/// How long a proxy's cached copy stays fresh: long, so nothing is
+/// revalidated mid-run.
+constexpr std::uint64_t kFreshnessMs = 3'600'000;
+
 }  // namespace
 
 topology::HierarchicalNetwork counterpart_network(std::string_view topology_name) {
@@ -49,13 +59,15 @@ std::string Cluster::object_body(std::uint32_t object) const {
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
       network_(counterpart_network(options_.topology)),
-      origins_(network_, options_.object_count, options_.origin_assignment,
+      origins_(network_, options_.object_count, kOriginAssignment,
                options_.seed),
       budget_(cache::compute_budget(network_, options_.cache_fraction,
                                     options_.object_count,
                                     cache::BudgetSplit::Uniform)),
       net_(testbed_net_options()),
-      directory_(network_, options_.max_hint_entries) {
+      // The proxies keep their default digest bound; the directory
+      // enforces the same bound per PoP.
+      directory_(network_, idicn::Proxy::Options{}.max_hint_entries) {
   if (options_.object_bytes == 0) {
     throw std::invalid_argument("Cluster: object_bytes must be > 0");
   }
@@ -148,12 +160,9 @@ void Cluster::start_proxies() {
     idicn::Proxy::Options popt;
     popt.capacity_bytes =
         budget_.per_node[network_.leaf(p, 0)] * options_.object_bytes;
-    popt.freshness_ms = options_.freshness_ms;
+    popt.freshness_ms = kFreshnessMs;
     popt.verify = true;
     popt.pop_name = pop_name(p);
-    popt.sibling_hop_limit = options_.sibling_hop_limit;
-    popt.max_hint_entries = options_.max_hint_entries;
-    popt.sibling_fanout = options_.sibling_fanout;
     proxies_.push_back(std::make_unique<idicn::Proxy>(
         transport, proxy_address(p), "nrs.testbed", &dns_, popt));
     directory_.set_address(p, proxy_address(p));
@@ -170,7 +179,7 @@ void Cluster::start_proxies() {
   }
 
   runtime::ServerGroup::Options server_options;
-  server_options.workers = options_.workers_per_pop;
+  server_options.workers = kWorkersPerPop;
   for (topology::PopId p = 0; p < pops; ++p) {
     proxy_servers_.push_back(std::make_unique<runtime::ServerGroup>(
         proxies_[p].get(), proxy_address(p), server_options));

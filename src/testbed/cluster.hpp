@@ -72,33 +72,13 @@ struct ClusterOptions {
   /// sends (0 = no injection; NRS resolution is always latency-free, the
   /// paper's conservatively-generous lookup assumption).
   std::uint64_t ms_per_hop = 0;
-  /// ServerGroup worker threads per proxy. Upstream fetches park on the
-  /// worker's event loop rather than blocking it, so two workers are pure
-  /// serving parallelism (inbound sibling queries and hint POSTs keep
-  /// flowing even while one worker drains a burst).
-  std::size_t workers_per_pop = 2;
   std::uint64_t seed = 42;
-  core::OriginAssignment origin_assignment =
-      core::OriginAssignment::PopulationProportional;
-
-  // Cooperation-protocol knobs, passed through to idicn::Proxy::Options.
-  //
-  // The hop limit matches the Proxy default of 2: a proxy serving a
-  // sibling fetch may itself redirect one hop further before answering
-  // cache-only, matching the simulator's NearestReplica oracle more
-  // closely than the old cache-only-on-first-hop limit of 1. That limit
-  // existed because upstream fetches used to block the reactor thread —
-  // proxy A blocked fetching from B could be counter-fetched by B onto
-  // A's stalled reactor, a mutual stall only the socket timeout broke.
-  // Fetches now park on the event loop (Proxy::FetchOp over
-  // Transport::send_async), so a worker keeps serving inbound queries
-  // while its own upstream fetch is in flight and deeper hop chains are
-  // safe over real sockets, not just SimNet's same-thread recursion.
-  std::size_t sibling_hop_limit = 2;
-  std::size_t max_hint_entries = 256;
-  std::size_t sibling_fanout = 2;
-  std::uint64_t freshness_ms = 3'600'000;  ///< long: no revalidation mid-run
 };
+
+/// How the catalog's objects are spread over the origin tier, both in the
+/// cluster and in its simulator counterpart.
+inline constexpr core::OriginAssignment kOriginAssignment =
+    core::OriginAssignment::PopulationProportional;
 
 /// The running deployment. Construction builds, publishes, and starts
 /// everything (origin → NRS → reverse proxies → edge proxies); destruction

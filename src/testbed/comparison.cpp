@@ -20,7 +20,7 @@ core::SimulationConfig counterpart_config(const ClusterOptions& options) {
   core::SimulationConfig config;
   config.budget_fraction = options.cache_fraction;
   config.split = cache::BudgetSplit::Uniform;
-  config.origin_assignment = options.origin_assignment;
+  config.origin_assignment = kOriginAssignment;
   config.seed = options.seed;
   // The testbed starts cold; so must its counterpart.
   config.prefill = false;

@@ -470,11 +470,19 @@ TEST(AdmissionFilter, InvalidConstructionThrows) {
 // drives B and C, which must agree on every victim, every contains() and
 // the accounting after every op. RANDOM passes only because B keeps its
 // own generator: with A's (seed 1) it picks other victims.
+//
+// The padding of the parameter is spelled out as zeros. gtest lists a
+// parameter without a PrintTo as its raw bytes and ctest names each test
+// after that listing, so padding left to the stack put whatever it held
+// (often the top byte of a randomised address) into the test names, which
+// then changed from one build to the next.
 
 struct CopyCase {
   PolicyKind kind;
   bool doorkeeper;
+  std::uint8_t zero_padding[3];
 };
+static_assert(std::has_unique_object_representations_v<CopyCase>);
 
 std::unique_ptr<Cache> make_copy_case(const CopyCase& c, std::uint64_t capacity,
                                       std::uint64_t seed) {
@@ -512,7 +520,7 @@ TEST_P(CopyFrom, CopyDrivesLikeTheInsertPath) {
                                 PolicyKind::Random}) {
     for (const bool doorkeeper : {false, true}) {
       if (kind == GetParam().kind && doorkeeper == GetParam().doorkeeper) continue;
-      auto other = make_copy_case(CopyCase{kind, doorkeeper}, kCapacity, 3);
+      auto other = make_copy_case(CopyCase{kind, doorkeeper, {}}, kCapacity, 3);
       fill(*other, 60);
       EXPECT_THROW(b->copy_from(*other), std::invalid_argument)
           << to_string(kind) << (doorkeeper ? " with doorkeeper" : "");
@@ -543,10 +551,11 @@ TEST_P(CopyFrom, CopyDrivesLikeTheInsertPath) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, CopyFrom,
-    ::testing::Values(CopyCase{PolicyKind::Lru, false}, CopyCase{PolicyKind::Lfu, false},
-                      CopyCase{PolicyKind::Fifo, false},
-                      CopyCase{PolicyKind::Random, false},
-                      CopyCase{PolicyKind::Lru, true}),
+    ::testing::Values(CopyCase{PolicyKind::Lru, false, {}},
+                      CopyCase{PolicyKind::Lfu, false, {}},
+                      CopyCase{PolicyKind::Fifo, false, {}},
+                      CopyCase{PolicyKind::Random, false, {}},
+                      CopyCase{PolicyKind::Lru, true, {}}),
     [](const auto& info) {
       return to_string(info.param.kind) + (info.param.doorkeeper ? "_Doorkeeper" : "");
     });
@@ -560,23 +569,8 @@ INSTANTIATE_TEST_SUITE_P(
 // contains() and the accounting after every op. C copies A before the
 // stream and must agree too. LruCache keeps a reference to the image; the
 // other policies and the doorkeeper fill by inserts.
-//
-// The parameter is a CopyCase with its padding spelled out as zeros. gtest
-// lists a parameter without a PrintTo as its raw bytes and ctest names each
-// test after that listing, so padding left to the stack put whatever it
-// held (often the top byte of a randomised address) into the test names,
-// which then changed from one build to the next.
 
-struct WarmCase {
-  PolicyKind kind;
-  bool doorkeeper;
-  std::uint8_t zero_padding[3];
-
-  operator CopyCase() const { return CopyCase{kind, doorkeeper}; }
-};
-static_assert(std::has_unique_object_representations_v<WarmCase>);
-
-class WarmStart : public ::testing::TestWithParam<WarmCase> {};
+class WarmStart : public ::testing::TestWithParam<CopyCase> {};
 
 TEST_P(WarmStart, MatchesTheInsertLoop) {
   constexpr std::uint64_t kCapacity = 60;
@@ -696,12 +690,12 @@ TEST_P(WarmStart, RefusalsThrowAndChangeNothing) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, WarmStart,
-    ::testing::Values(WarmCase{PolicyKind::Lru, false, {}}, WarmCase{PolicyKind::Lfu, false, {}},
-                      WarmCase{PolicyKind::Fifo, false, {}},
-                      WarmCase{PolicyKind::Random, false, {}},
-                      WarmCase{PolicyKind::Lru, true, {}}, WarmCase{PolicyKind::Lfu, true, {}},
-                      WarmCase{PolicyKind::Fifo, true, {}},
-                      WarmCase{PolicyKind::Random, true, {}}),
+    ::testing::Values(CopyCase{PolicyKind::Lru, false, {}}, CopyCase{PolicyKind::Lfu, false, {}},
+                      CopyCase{PolicyKind::Fifo, false, {}},
+                      CopyCase{PolicyKind::Random, false, {}},
+                      CopyCase{PolicyKind::Lru, true, {}}, CopyCase{PolicyKind::Lfu, true, {}},
+                      CopyCase{PolicyKind::Fifo, true, {}},
+                      CopyCase{PolicyKind::Random, true, {}}),
     [](const auto& info) {
       return to_string(info.param.kind) + (info.param.doorkeeper ? "_Doorkeeper" : "");
     });

@@ -142,6 +142,54 @@ TEST(IdicnFlow, ProxyRefusesInauthenticUpstream) {
   EXPECT_FALSE(d.proxy.is_cached(name.host()));
 }
 
+TEST(IdicnFlow, ProxyRefusesAnotherObjectsProof) {
+  // A location answers for `victim` with `other`'s authentic body and
+  // proof from the same publisher: digest, key and signature all check
+  // out, so only binding the proof's name to the requested one refuses it.
+  Deployment d;
+  const SelfCertifyingName other = d.publish("other", "another object's bytes");
+  net::HttpRequest fetch;
+  fetch.method = "GET";
+  fetch.target = "/";
+  fetch.headers.set("Host", other.host());
+  fetch.headers.set(kWantMetadataHeader, "1");
+  class ReplayHost : public net::SimHost {
+  public:
+    explicit ReplayHost(net::HttpResponse reply) : reply_(std::move(reply)) {}
+    net::HttpResponse handle_http(const net::HttpRequest&,
+                                  const net::Address&) override {
+      return reply_;
+    }
+
+  private:
+    net::HttpResponse reply_;
+  } replay(d.net.send("someone", "rp.pub", fetch));
+  d.net.attach("replay.ad1", &replay);
+
+  const SelfCertifyingName victim("victim", other.publisher());
+  const auto signature = d.signer.sign(
+      NameResolutionSystem::registration_signing_input(victim, "replay.ad1"));
+  ASSERT_EQ(d.nrs.register_name(victim, "replay.ad1", d.signer.root(), signature),
+            RegisterResult::Ok);
+  net::HttpRequest request;
+  request.method = "GET";
+  request.target = "http://" + victim.host() + "/";
+  EXPECT_EQ(d.proxy.handle_http(request, "someone").status, 502);
+  EXPECT_EQ(d.proxy.stats().verification_failures, 1u);
+  EXPECT_FALSE(d.proxy.is_cached(victim.host()));
+
+  // An authentic second location: the race picks the replay first, refuses
+  // it again, and the ladder's fallback serves the authentic bytes.
+  ASSERT_EQ(d.publish("victim", "authentic bytes"), victim);
+  const net::HttpResponse fetched = d.proxy.handle_http(request, "someone");
+  EXPECT_EQ(fetched.status, 200);
+  EXPECT_EQ(fetched.full_body(), "authentic bytes");
+  EXPECT_EQ(d.proxy.stats().verification_failures, 2u);
+  const net::HttpResponse hit = d.proxy.handle_http(request, "someone");
+  EXPECT_EQ(hit.headers.get("X-Cache"), "HIT");
+  EXPECT_EQ(hit.full_body(), "authentic bytes");
+}
+
 TEST(IdicnFlow, UnresolvableNameIs404) {
   Deployment d;
   crypto::MerkleSigner other(7, 2);

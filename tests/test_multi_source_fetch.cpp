@@ -32,7 +32,7 @@ namespace {
 TEST(RttEstimator, FirstSampleSeedsSrttAndHalvedVariance) {
   RttEstimator est;
   EXPECT_FALSE(est.has_sample());
-  EXPECT_EQ(est.srtt_us(), 50'000u);  // initial_rtt_us before any sample
+  EXPECT_EQ(est.srtt_us(), 50'000u);  // kInitialRttUs before any sample
   est.on_sample(100'000);
   EXPECT_TRUE(est.has_sample());
   EXPECT_EQ(est.samples(), 1u);
@@ -94,7 +94,7 @@ TEST(RttEstimator, KarnBackoffDoublesAndClearsOnCleanSample) {
   est.on_retransmit();
   EXPECT_EQ(est.ranking_rtt_us(), 160'000u);
   EXPECT_EQ(est.rto_us(), 480'000u);
-  // The shift caps at max_backoff_shift (default 6) no matter how many
+  // The shift caps at kMaxBackoffShift (6) no matter how many
   // ambiguous exchanges pile up.
   for (int i = 0; i < 10; ++i) est.on_retransmit();
   EXPECT_EQ(est.backoff_shift(), 6);
@@ -109,10 +109,10 @@ TEST(RttEstimator, KarnBackoffDoublesAndClearsOnCleanSample) {
 TEST(RttEstimator, RtoClampsToFloorAndCeiling) {
   RttEstimator est;
   est.on_sample(1'000);  // raw RTO = 1000 + max(2000, 1000) = 3000
-  EXPECT_EQ(est.rto_us(), 20'000u);  // floored at min_rto_us
+  EXPECT_EQ(est.rto_us(), 20'000u);  // floored at kMinRtoUs
   RttEstimator big;
   big.on_sample(5'000'000);  // raw RTO = 5M + 10M = 15M
-  EXPECT_EQ(big.rto_us(), 10'000'000u);  // clamped at max_rto_us
+  EXPECT_EQ(big.rto_us(), 10'000'000u);  // clamped at kMaxRtoUs
 }
 
 TEST(RttEstimator, UnmeasuredDestinationStillPaysKarnPenaltyInRanking) {
@@ -162,7 +162,7 @@ TEST(CubicWindow, LossCutsMultiplicativelyAndNeverBelowFloor) {
   floor_options.initial_window = 1.0;
   CubicWindow choked(floor_options);
   choked.on_loss(0);
-  EXPECT_DOUBLE_EQ(choked.window(), 1.0);  // min_window floor, not 0.7
+  EXPECT_DOUBLE_EQ(choked.window(), 1.0);  // kMinWindow floor, not 0.7
   EXPECT_EQ(choked.allowance(), 1u);
 }
 

@@ -53,17 +53,22 @@ TEST(ProxyCooperation, MissIsServedByPeerWithoutUpstreamFetch) {
   TwoProxyDeployment d;
   const SelfCertifyingName name = d.publish("shared", "cooperative content");
 
-  // Warm proxy B from upstream.
+  // Warm proxy B from upstream: an origin transfer of the whole body.
   EXPECT_EQ(d.get(d.proxy_b, name).status, 200);
+  EXPECT_EQ(d.proxy_b.stats().bytes_from_origin,
+            std::string("cooperative content").size());
   const std::uint64_t upstream_before = d.net.messages_between("cache-a.ad1", "rp.pub");
+  const std::uint64_t origin_bytes_before = d.proxy_a.stats().bytes_from_origin;
 
   // Proxy A misses locally but finds the object at its peer.
   const net::HttpResponse via_a = d.get(d.proxy_a, name);
   EXPECT_EQ(via_a.status, 200);
   EXPECT_EQ(via_a.full_body(), "cooperative content");
   EXPECT_EQ(d.proxy_a.stats().peer_hits, 1u);
-  // …and never touched the (far) reverse proxy.
+  // …and never touched the (far) reverse proxy: a peer transfer stays in
+  // the cache tier, so it adds nothing to A's origin bytes.
   EXPECT_EQ(d.net.messages_between("cache-a.ad1", "rp.pub"), upstream_before);
+  EXPECT_EQ(d.proxy_a.stats().bytes_from_origin, origin_bytes_before);
   // The fetched copy was verified and is now cached locally.
   EXPECT_TRUE(d.proxy_a.is_cached(name.host()));
   EXPECT_EQ(d.get(d.proxy_a, name).headers.get("X-Cache"), "HIT");
@@ -109,6 +114,46 @@ TEST(ProxyCooperation, TamperingPeerIsRejected) {
   EXPECT_EQ(response.full_body(), "authentic bytes");
   EXPECT_GE(lonely.stats().verification_failures, 1u);
   EXPECT_EQ(lonely.stats().peer_hits, 0u);
+}
+
+TEST(ProxyCooperation, PeerAnsweringWithAnotherObjectIsRejected) {
+  // The peer answers the query for `victim` with `other`'s authentic body
+  // and proof from the same publisher: digest, key and signature all check
+  // out, so only binding the proof's name to the requested one refuses it.
+  TwoProxyDeployment d;
+  const SelfCertifyingName other = d.publish("other", "another object's bytes");
+  const SelfCertifyingName victim = d.publish("victim", "authentic bytes");
+  net::HttpRequest fetch;
+  fetch.method = "GET";
+  fetch.target = "/";
+  fetch.headers.set("Host", other.host());
+  fetch.headers.set(kWantMetadataHeader, "1");
+  class ReplayPeer : public net::SimHost {
+  public:
+    explicit ReplayPeer(net::HttpResponse reply) : reply_(std::move(reply)) {}
+    net::HttpResponse handle_http(const net::HttpRequest&,
+                                  const net::Address&) override {
+      return reply_;
+    }
+
+  private:
+    net::HttpResponse reply_;
+  } replay(d.net.send("client", "rp.pub", fetch));
+  d.net.attach("replay.ad1", &replay);
+  Proxy lonely(&d.net, "cache-c.ad1", "nrs", &d.dns);
+  d.net.attach("cache-c.ad1", &lonely);
+  lonely.add_peer("replay.ad1");
+
+  // Refused, the peer's copy is neither served nor cached: the proxy
+  // fetches the authentic object upstream instead.
+  const net::HttpResponse response = d.get(lonely, victim);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.full_body(), "authentic bytes");
+  EXPECT_EQ(lonely.stats().verification_failures, 1u);
+  EXPECT_EQ(lonely.stats().peer_hits, 0u);
+  const net::HttpResponse hit = d.get(lonely, victim);
+  EXPECT_EQ(hit.headers.get("X-Cache"), "HIT");
+  EXPECT_EQ(hit.full_body(), "authentic bytes");
 }
 
 TEST(Revalidation, StaleEntryRenewedBy304) {

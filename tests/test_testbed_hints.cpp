@@ -180,6 +180,11 @@ TEST(HintProtocol, DirectoryHitServesFromSibling) {
   HintDeployment d;
   const auto name = d.publish("popular", "sibling-served bytes");
   EXPECT_EQ(d.get(d.proxy_b, name).status, 200);  // warm the sibling
+  // The sibling's origin MISS transferred exactly the body.
+  EXPECT_EQ(d.proxy_b.stats().bytes_from_origin.value(),
+            std::string("sibling-served bytes").size());
+  const std::uint64_t origin_bytes_before = d.proxy_a.stats().bytes_from_origin.value();
+  const std::uint64_t sibling_hits_before = d.proxy_a.stats().sibling_hits.value();
 
   d.directory_a.holder_list = {"cache-b.ad1"};
   const net::HttpResponse response = d.get(d.proxy_a, name);
@@ -187,7 +192,9 @@ TEST(HintProtocol, DirectoryHitServesFromSibling) {
   EXPECT_EQ(response.headers.get("X-Cache").value_or(""), "SIBLING");
   EXPECT_EQ(response.headers.get(kSourceHeader).value_or(""), "cache-b.ad1");
   EXPECT_EQ(response.full_body(), "sibling-served bytes");
-  EXPECT_EQ(d.proxy_a.stats().sibling_hits.value(), 1u);
+  EXPECT_EQ(d.proxy_a.stats().sibling_hits.value(), sibling_hits_before + 1);
+  // A sibling transfer stays in the cache tier: no origin bytes for A.
+  EXPECT_EQ(d.proxy_a.stats().bytes_from_origin.value(), origin_bytes_before);
   EXPECT_TRUE(d.directory_a.forgotten.empty());
 }
 
