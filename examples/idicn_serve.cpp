@@ -112,10 +112,8 @@ int main(int argc, char** argv) {
   std::printf("  reverse proxy  127.0.0.1:%u\n", rp_server.port());
   std::printf("  edge proxy     127.0.0.1:%u   <- point your client here\n",
               proxy_server.port());
-  std::printf("                 %zu worker(s), %s\n\n",
-              proxy_server.worker_count(),
-              proxy_server.using_reuseport() ? "SO_REUSEPORT"
-                                             : "single acceptor");
+  std::printf("                 %zu worker(s)\n\n",
+              proxy_server.worker_count());
   std::printf("Fetch by self-certifying name through the proxy:\n");
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     std::printf("  curl -x http://127.0.0.1:%u \"http://%s/\"   # %s\n",

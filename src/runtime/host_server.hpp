@@ -4,7 +4,9 @@
 // OriginServer, ReverseProxy, …) and serves it over real loopback TCP.
 // Since PR 4 it is a thin shell over runtime::ServerGroup — the N-worker
 // multi-reactor — fixed at the group's defaults (one worker unless
-// Options::workers says otherwise). Everything HostServer historically
+// Options::workers says otherwise). A one-worker server accepts on one
+// listener without SO_REUSEPORT, so a second server on its port fails to
+// bind, and start() throws. Everything HostServer historically
 // promised (keep-alive, pipelining, backpressure, idle/request timeouts,
 // per-connection single-thread ownership) now lives in server_group.cpp;
 // see server_group.hpp for the threading contract.

@@ -160,9 +160,8 @@ net::HttpResponse synthesize_full_head(const net::HttpResponse& probe_head,
 
 void MultiFetchState::start_race() {
   const MultiSourceFetcher::Options& opt = fetcher->options();
-  probe_range = opt.range_fetch_enabled && opt.max_parallel_ranges >= 2 &&
-                ranked.size() >= 2 && request.method == "GET" &&
-                !request.headers.contains("Range");
+  probe_range = opt.max_parallel_ranges >= 2 && ranked.size() >= 2 &&
+                request.method == "GET" && !request.headers.contains("Range");
   tried.assign(ranked.size(), false);
   const std::size_t primary = fetcher->pick_primary(ranked);
   leg_cursor = (primary + 1) % ranked.size();
@@ -701,7 +700,7 @@ MultiSourceFetcher::DestState& MultiSourceFetcher::dest_locked(
     const net::Address& address) {
   auto it = dests_.find(address);
   if (it == dests_.end()) {
-    it = dests_.emplace(address, std::make_unique<DestState>(options_)).first;
+    it = dests_.emplace(address, std::make_unique<DestState>()).first;
   }
   return *it->second;
 }
@@ -725,7 +724,7 @@ std::size_t MultiSourceFetcher::pick_primary(
       return i;
     }
   }
-  return 0;  // every breaker open: dial the best anyway as the last resort
+  return 0;  // every breaker open: gate() refuses the dial, nothing is sent
 }
 
 std::optional<std::size_t> MultiSourceFetcher::pick_hedge(

@@ -9,7 +9,9 @@
 //
 //   * Ranking — per-destination RttEstimator (SRTT/p95, Karn backoff) and
 //     CircuitBreaker order the candidates; breaker-open sources sort last
-//     and are only dialed as a last resort.
+//     and are never dialed: an attempt aimed at one is refused with
+//     nothing sent, so a fetch whose every source is open completes with
+//     a 504 until a breaker's cooldown admits a probe.
 //   * Hedging — if the best source has not produced a response head after
 //     its p95 RTT (shifted by Karn backoff), the request is duplicated to
 //     the next-best replica. First 2xx head wins; the loser's sink refuses
@@ -21,7 +23,8 @@
 //     the straggler (an ambiguous exchange measures the race, not the
 //     path), so its ranking decays exponentially and the hedge delay backs
 //     off without ever needing a sample from the slow replica.
-//   * Parallel range-fetch — with ≥2 sources, large-object fetches probe
+//   * Parallel range-fetch — with ≥2 sources and max_parallel_ranges ≥ 2
+//     (1 fetches every object in one stream), large-object fetches probe
 //     the best source with `Range: bytes=0-(probe-1)`. A 206 reveals the
 //     total size via Content-Range; the remainder is split into contiguous
 //     legs fetched from the other replicas in parallel, re-joined in order
@@ -36,6 +39,9 @@
 //     capacity; the primary attempt prefers sources with capacity but is
 //     never blocked by the window (the proxy bounds its own concurrency) —
 //     an over-budget primary is admitted.
+//
+// Each destination's RttEstimator, CubicWindow and CircuitBreaker run at
+// their class defaults; Options holds only the hedging and range settings.
 //
 // Threading: one fetch's callbacks all run on the caller's executor thread
 // (or inline for synchronous transports); the fetcher object itself is
@@ -83,17 +89,12 @@ class MultiSourceFetcher {
     RetryBudget::Options hedge_budget;
 
     // --- parallel range fetch ---
-    bool range_fetch_enabled = true;
-    /// Total legs per object including the probe (≥2 enables splitting).
+    /// Total legs per object including the probe (≥2 enables splitting,
+    /// 1 fetches in one stream).
     std::size_t max_parallel_ranges = 3;
     /// Bytes asked of the probe leg; also the minimum tail worth splitting
     /// across replicas rather than fetching in one follow-up leg.
     std::uint64_t range_probe_bytes = 128 * 1024;
-
-    // --- per-destination policy ---
-    RttEstimator::Options rtt;
-    CubicWindow::Options window;
-    CircuitBreaker::Options breaker;
   };
 
   struct Stats {
@@ -171,8 +172,6 @@ class MultiSourceFetcher {
   /// Per-destination learned state. unique_ptr-held so references stay
   /// stable across map rehashes.
   struct DestState {
-    explicit DestState(const Options& options)
-        : est(options.rtt), window(options.window), breaker(options.breaker) {}
     RttEstimator est;
     CubicWindow window;
     std::size_t in_flight = 0;
@@ -183,7 +182,9 @@ class MultiSourceFetcher {
 
   // Selection helpers for the fetch state machine. pick_primary admits the
   // best non-open source (preferring window capacity);
-  // pick_hedge/pick_leg_source gate extra aggression on capacity.
+  // pick_hedge/pick_leg_source gate extra aggression on capacity. With
+  // every breaker open, pick_primary and pick_leg_source still name a
+  // source, and gate() refuses the dial.
   std::size_t pick_primary(const std::vector<net::Address>& ranked)
       IDICN_EXCLUDES(mutex_);
   std::optional<std::size_t> pick_hedge(const std::vector<net::Address>& ranked,

@@ -38,6 +38,11 @@ constexpr std::size_t kMaxIov = 16;
 /// drives the retry. One wheel tick.
 constexpr std::uint64_t kProducerPollMs = 10;
 
+/// How long a worker stops reading its listener after accept() ran out of
+/// descriptors or memory. The listener is level-triggered and the waiting
+/// connection keeps it readable, so retrying at once would spin a core.
+constexpr std::uint64_t kAcceptPauseMs = 50;
+
 /// Mirror of HttpResponse::serialize_head()'s framing choice, so the
 /// writer knows whether the producer body needs chunked framing on the
 /// wire (no declared length) or raw bytes (Content-Length known).
@@ -75,8 +80,8 @@ void accumulate(ServerGroup::Stats& total, const ServerGroup::Stats& part) {
 
 }  // namespace
 
-// One reactor: an EventLoop thread owning a connection table and (in
-// SO_REUSEPORT mode) its own listener. The hosted SimHost is shared across
+// One reactor: an EventLoop thread owning a connection table and its own
+// listener, the only one it accepts on. The hosted SimHost is shared across
 // workers — everything else here is single-worker-owned, guarded by this
 // worker's loop_role_. Lifecycle methods (start / stop_accepting /
 // begin_drain / shutdown) are driven by the ServerGroup's controlling
@@ -91,33 +96,24 @@ void accumulate(ServerGroup::Stats& total, const ServerGroup::Stats& part) {
 class ServerWorker {
  public:
   ServerWorker(net::SimHost* host, const ServerGroup::Options& options,
-               ServerGroup* group)
-      : host_(host), options_(options), group_(group) {}
+               ServerGroup* group, ScopedFd listener)
+      : host_(host),
+        options_(options),
+        group_(group),
+        listener_(std::move(listener)) {}
   ~ServerWorker() { shutdown(); }
 
   ServerWorker(const ServerWorker&) = delete;
   ServerWorker& operator=(const ServerWorker&) = delete;
 
-  /// Install this worker's listener before start(). `dispatch_round_robin`
-  /// switches the accept handler from "adopt locally" (SO_REUSEPORT mode)
-  /// to "hand off via the group's round-robin cursor" (fallback mode,
-  /// worker 0 only).
-  void set_listener(ScopedFd listener, bool dispatch_round_robin) {
-    loop_role_.assert_held();  // pre-start: the role is unbound
-    listener_ = std::move(listener);
-    dispatch_round_robin_ = dispatch_round_robin;
-  }
-
   void start() {
     loop_role_.assert_held();  // pre-start: the role is unbound
     loop_ = std::make_unique<EventLoop>();
-    if (listener_.valid()) {
-      loop_->watch(listener_.get(), true, false,
-                   [this](bool readable, bool, bool) {
-                     loop_role_.assert_held();
-                     if (readable) on_accept();
-                   });
-    }
+    loop_->watch(listener_.get(), true, false,
+                 [this](bool readable, bool, bool) {
+                   loop_role_.assert_held();
+                   if (readable) on_accept();
+                 });
     thread_ = core::sync::Thread([this] {
       loop_role_.bind();  // the worker owns its connections (+ shared host)
       loop_->run();
@@ -126,8 +122,7 @@ class ServerWorker {
   }
 
   /// Stop() phase 1: close the listener (post-and-wait, so no accept
-  /// handler is mid-flight once this returns). No-op for listenerless
-  /// fallback workers.
+  /// handler is mid-flight once this returns).
   void stop_accepting() {
     run_and_wait([this] {
       loop_role_.assert_held();
@@ -208,23 +203,6 @@ class ServerWorker {
     });
     const core::sync::MutexLock lock(mutex);
     while (!done) done_cv.wait(mutex);
-  }
-
-  /// Take ownership of an accepted fd from any thread (the fallback
-  /// dispatch path). Cross-thread handoffs wrap the fd in a shared
-  /// ScopedFd so it still closes if the loop stops before running the
-  /// task.
-  void adopt_from_any_thread(int fd, std::string peer) {
-    if (thread_.get_id() == std::this_thread::get_id()) {
-      loop_role_.assert_held();
-      adopt_connection(ScopedFd(fd), std::move(peer));
-      return;
-    }
-    auto guard = std::make_shared<ScopedFd>(fd);
-    loop_->post([this, guard, peer = std::move(peer)]() mutable {
-      loop_role_.assert_held();
-      adopt_connection(std::move(*guard), std::move(peer));
-    });
   }
 
   [[nodiscard]] std::size_t active_connections() const noexcept {
@@ -322,15 +300,25 @@ class ServerWorker {
       const int fd = ::accept(listener_.get(),
                               reinterpret_cast<sockaddr*>(&addr), &len);
       if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-        return;  // transient accept failure; the listener stays armed
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          pause_accepting();
+        }
+        return;  // drained, or a transient failure: the listener stays armed
       }
-      if (dispatch_round_robin_) {
-        group_->dispatch_accepted(fd, peer_name(addr));
-      } else {
-        adopt_connection(ScopedFd(fd), peer_name(addr));
-      }
+      adopt_connection(ScopedFd(fd), peer_name(addr));
     }
+  }
+
+  /// Stop reading the listener for kAcceptPauseMs; the waiting connection
+  /// stays in the kernel backlog. stop_accepting() may close the listener
+  /// before the timer fires.
+  void pause_accepting() IDICN_REQUIRES(loop_role_) {
+    loop_->update(listener_.get(), false, false);
+    loop_->add_timer(kAcceptPauseMs, [this] {
+      loop_role_.assert_held();
+      if (listener_.valid()) loop_->update(listener_.get(), true, false);
+    });
   }
 
   void adopt_connection(ScopedFd fd, std::string peer)
@@ -789,7 +777,6 @@ class ServerWorker {
   /// after the join; the pointer itself is never touched concurrently.
   std::unique_ptr<EventLoop> loop_;
   ScopedFd listener_ IDICN_GUARDED_BY(loop_role_);
-  bool dispatch_round_robin_ IDICN_GUARDED_BY(loop_role_) = false;
   bool draining_ IDICN_GUARDED_BY(loop_role_) = false;
   core::sync::Thread thread_;
   std::map<int, std::unique_ptr<Connection>> connections_
@@ -830,36 +817,17 @@ std::uint16_t ServerGroup::start(std::uint16_t port) {
   }
   const std::size_t worker_total = std::max<std::size_t>(1, options_.workers);
 
-  // Preferred path: one SO_REUSEPORT listener per worker, all bound to the
-  // same port — the kernel spreads accepted connections across them. Any
-  // bind failure falls back to the portable single-acceptor layout.
+  // One listener per worker, all on one port: with several, SO_REUSEPORT
+  // lets the kernel spread accepted connections across them. A lone
+  // listener leaves it off, so a second server on its port fails to bind.
+  ListenOptions listen_options;
+  listen_options.reuseport = worker_total > 1;
   std::vector<ScopedFd> listeners;
-  std::uint16_t bound = 0;
-  std::string error;
-  reuseport_active_ = false;
-  if (worker_total > 1 && options_.reuseport && reuseport_supported()) {
-    ListenOptions listen_options;
-    listen_options.reuseport = true;
-    bool all_bound = true;
-    for (std::size_t i = 0; i < worker_total; ++i) {
-      // The first bind resolves an ephemeral request; siblings join it.
-      const std::uint16_t request = listeners.empty() ? port : bound;
-      const int fd = listen_tcp(request, &bound, &error, listen_options);
-      if (fd < 0) {
-        all_bound = false;
-        break;
-      }
-      listeners.emplace_back(fd);
-    }
-    if (all_bound) {
-      reuseport_active_ = true;
-    } else {
-      listeners.clear();
-      bound = 0;
-    }
-  }
-  if (!reuseport_active_) {
-    const int fd = listen_tcp(port, &bound, &error);
+  std::uint16_t bound = port;
+  for (std::size_t i = 0; i < worker_total; ++i) {
+    std::string error;
+    // The first bind resolves an ephemeral request; siblings join its port.
+    const int fd = listen_tcp(bound, &bound, &error, listen_options);
     if (fd < 0) {
       throw std::runtime_error("ServerGroup[" + address_ + "]: " + error);
     }
@@ -867,20 +835,9 @@ std::uint16_t ServerGroup::start(std::uint16_t port) {
   }
   port_ = bound;
 
-  for (std::size_t i = 0; i < worker_total; ++i) {
-    workers_.push_back(
-        std::make_unique<ServerWorker>(host_, options_, this));
-  }
-  if (reuseport_active_) {
-    for (std::size_t i = 0; i < worker_total; ++i) {
-      workers_[i]->set_listener(std::move(listeners[i]),
-                                /*dispatch_round_robin=*/false);
-    }
-  } else {
-    // Single acceptor on worker 0; with more than one worker it
-    // round-robins accepted fds across the group (including itself).
-    workers_[0]->set_listener(std::move(listeners[0]),
-                              /*dispatch_round_robin=*/worker_total > 1);
+  for (ScopedFd& listener : listeners) {
+    workers_.push_back(std::make_unique<ServerWorker>(host_, options_, this,
+                                                      std::move(listener)));
   }
   for (auto& worker : workers_) worker->start();
   return port_;
@@ -905,7 +862,6 @@ void ServerGroup::stop() {
     for (auto& worker : workers_) accumulate(retired_total_, worker->stats());
     workers_.clear();
   }
-  next_worker_.store(0, std::memory_order_relaxed);
 }
 
 void ServerGroup::run_on_all_workers(const std::function<void()>& fn) {
@@ -978,12 +934,6 @@ ServerGroup::Stats ServerGroup::worker_stats(std::size_t worker) const {
     throw std::out_of_range("ServerGroup::worker_stats: no such worker");
   }
   return workers_[worker]->stats();
-}
-
-void ServerGroup::dispatch_accepted(int fd, std::string peer) {
-  const std::size_t target =
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  workers_[target]->adopt_from_any_thread(fd, std::move(peer));
 }
 
 void ServerGroup::notify_connection_closed() {

@@ -1,14 +1,17 @@
 // Multi-reactor SimHost server: N event-loop workers behind one port.
 //
-// ServerGroup generalizes the PR-2 one-reactor-per-server HostServer to an
-// N-worker multi-reactor. Each worker owns its own EventLoop + Poller and
-// its own connection table; the kernel (SO_REUSEPORT, one listening socket
-// per worker bound to the same port) load-balances accepted connections
-// across workers, so accept/decode/serve scales with cores instead of
-// being pinned to one thread. Where SO_REUSEPORT is unavailable — or when
-// the group runs a single worker — a lone acceptor on worker 0 round-robins
-// accepted fds to the other workers through EventLoop::post() (the
-// portability fallback, unit-tested by forcing `Options::reuseport=false`).
+// ServerGroup generalizes the one-reactor-per-server HostServer to an
+// N-worker multi-reactor. Each worker owns its own EventLoop + Poller, its
+// own connection table and its own listening socket, and accepts only on
+// that listener. With more than one worker every listener sets
+// SO_REUSEPORT and binds the same port, so the kernel load-balances
+// accepted connections across workers and accept/decode/serve scales with
+// cores instead of being pinned to one thread. A one-worker group leaves
+// the option off, so a second server on its port fails to bind. A failed
+// bind throws from start(). A worker whose accept() runs out of
+// descriptors or memory stops reading its listener for a fixed pause
+// instead of spinning on it; the waiting connection stays in the kernel
+// backlog until the pause ends.
 //
 // Threading (DESIGN.md §"Multi-reactor runtime"): per-connection state is
 // owned by exactly one worker (IDICN_GUARDED_BY its loop role), but the
@@ -32,7 +35,6 @@
 // controlling thread at a time — exactly the contract HostServer had.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,7 +58,6 @@ class ServerGroup {
     /// clients back off instead of hammering a saturated worker.
     unsigned retry_after_s = 1;
     std::size_t workers = 1;      ///< reactor threads (0 is clamped to 1)
-    bool reuseport = true;        ///< try SO_REUSEPORT when workers > 1
     std::uint64_t drain_timeout_ms = 5'000;  ///< stop(): in-flight grace period
   };
 
@@ -80,9 +81,9 @@ class ServerGroup {
   ServerGroup(const ServerGroup&) = delete;
   ServerGroup& operator=(const ServerGroup&) = delete;
 
-  /// Bind 127.0.0.1:`port` (0 = ephemeral) across all workers, start the
-  /// worker threads, and return the bound port. Throws std::runtime_error
-  /// when binding fails.
+  /// Bind one listener per worker to 127.0.0.1:`port` (0 = ephemeral),
+  /// start the worker threads, and return the bound port. Throws
+  /// std::runtime_error when any bind fails; the group then stays stopped.
   std::uint16_t start(std::uint16_t port = 0);
 
   /// Ordered, idempotent shutdown: close every listener (no new
@@ -101,9 +102,6 @@ class ServerGroup {
   [[nodiscard]] const std::string& address() const noexcept { return address_; }
   [[nodiscard]] bool running() const noexcept { return !workers_.empty(); }
   [[nodiscard]] std::size_t worker_count() const noexcept;
-  /// True when each worker accepts on its own SO_REUSEPORT listener (vs
-  /// the single-acceptor round-robin fallback).
-  [[nodiscard]] bool using_reuseport() const noexcept { return reuseport_active_; }
 
   /// Aggregate across workers (safe while serving).
   [[nodiscard]] Stats stats() const;
@@ -115,9 +113,6 @@ class ServerGroup {
  private:
   friend class ServerWorker;
 
-  /// Fallback accept path: worker 0 hands the accepted fd to the next
-  /// worker round-robin (possibly itself).
-  void dispatch_accepted(int fd, std::string peer);
   /// Worker connection teardown signal — wakes a drain wait in stop().
   void notify_connection_closed() IDICN_EXCLUDES(drain_mutex_);
   [[nodiscard]] std::size_t total_active_connections() const;
@@ -126,12 +121,9 @@ class ServerGroup {
   std::string address_;
   Options options_;
   /// Created by start() before any worker thread exists, destroyed by
-  /// stop() after every join; never mutated while workers run (worker
-  /// threads read it lock-free in the dispatch path).
+  /// stop() after every join; never mutated while workers run.
   std::vector<std::unique_ptr<ServerWorker>> workers_;
-  std::uint16_t port_ = 0;        ///< written by start() before workers exist
-  bool reuseport_active_ = false; ///< written by start() before workers exist
-  std::atomic<std::size_t> next_worker_{0};  ///< round-robin dispatch cursor
+  std::uint16_t port_ = 0;  ///< written by start() before workers exist
 
   mutable core::sync::Mutex drain_mutex_;
   core::sync::CondVar drain_cv_;  ///< signalled on every connection close

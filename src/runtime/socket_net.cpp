@@ -145,7 +145,7 @@ struct SocketNet::AsyncSendState {
   std::shared_ptr<net::ChunkSink> sink;  ///< null ⇒ buffered send
   net::Executor* exec = nullptr;
   net::SendCallback done;
-  std::shared_ptr<CircuitBreaker> breaker;
+  std::shared_ptr<CircuitBreaker> breaker;  ///< set before the first attempt
   std::uint64_t started_ms = 0;
   int max_attempts = 1;
   int attempt = 1;
@@ -217,27 +217,24 @@ void SocketNet::start_async_send(std::shared_ptr<AsyncSendState> state) {
     return;
   }
 
-  if (options_.enable_breakers) {
-    state->breaker = breaker_for(state->to);
-    if (!state->breaker->allow(now_ms())) {
-      const std::uint64_t wait_ms = state->breaker->retry_after_ms(now_ms());
-      {
-        const core::sync::MutexLock lock(mutex_);
-        ++stats_.breaker_fast_fails;
-        ++stats_.send_failures;
-      }
-      auto response = net::make_response(
-          503, "circuit open for " + state->to + "; fast-fail");
-      response.headers.set("Retry-After", retry_after_seconds(wait_ms));
-      state->done(std::move(response));
-      return;
+  state->breaker = breaker_for(state->to);
+  if (!state->breaker->allow(now_ms())) {
+    const std::uint64_t wait_ms = state->breaker->retry_after_ms(now_ms());
+    {
+      const core::sync::MutexLock lock(mutex_);
+      ++stats_.breaker_fast_fails;
+      ++stats_.send_failures;
     }
+    auto response = net::make_response(
+        503, "circuit open for " + state->to + "; fast-fail");
+    response.headers.set("Retry-After", retry_after_seconds(wait_ms));
+    state->done(std::move(response));
+    return;
   }
 
   retry_budget_.on_attempt();
   state->started_ms = now_ms();
-  state->max_attempts =
-      options_.enable_retries ? std::max(1, options_.retry.max_attempts) : 1;
+  state->max_attempts = std::max(1, options_.retry.max_attempts);
   async_attempt(std::move(state));
 }
 
@@ -299,7 +296,7 @@ void SocketNet::finish_async_attempt(std::shared_ptr<AsyncSendState> state,
       }
     }
     give_back_async(state->to, state->exec, std::move(state->client));
-    if (state->breaker != nullptr) state->breaker->record_success(now_ms());
+    state->breaker->record_success(now_ms());
     state->done(std::move(*head));
     return;
   }
@@ -307,18 +304,18 @@ void SocketNet::finish_async_attempt(std::shared_ptr<AsyncSendState> state,
   if (state->progress.refused) {
     // The caller's sink ended the transfer after the destination answered
     // (a hedge loser, say): a success for the breaker and no send failure.
-    if (state->breaker != nullptr) state->breaker->record_success(now_ms());
+    state->breaker->record_success(now_ms());
     state->done(refused_response(state->to, error));
     return;
   }
-  if (state->breaker != nullptr) state->breaker->record_failure(now_ms());
+  state->breaker->record_failure(now_ms());
 
   bool give_up = false;
   // Once the sink has seen the head, a retry would deliver the body prefix
   // twice — the failure must surface to the caller instead.
   if (state->progress.delivered) give_up = true;
   if (!give_up && state->attempt >= state->max_attempts) give_up = true;
-  if (!give_up && state->breaker != nullptr &&
+  if (!give_up &&
       state->breaker->state(now_ms()) == CircuitBreaker::State::Open) {
     give_up = true;
   }

@@ -66,10 +66,8 @@ class SocketNet final : public net::Transport {
 public:
   struct Options {
     AsyncHttpClient::Options client;
-    /// Retry transport failures with backoff (off ⇒ one attempt per send).
-    bool enable_retries = true;
-    /// Fast-fail via per-destination circuit breakers.
-    bool enable_breakers = true;
+    /// Transport failures are retried with backoff; `retry.max_attempts = 1`
+    /// sends once.
     RetryPolicy::Options retry;
     RetryBudget::Options budget;
     CircuitBreaker::Options breaker;
@@ -131,7 +129,7 @@ public:
   [[nodiscard]] Stats stats() const IDICN_EXCLUDES(mutex_);
 
   /// Observer view of a destination's breaker (Closed when the destination
-  /// has no breaker yet or breakers are disabled).
+  /// has no breaker yet).
   [[nodiscard]] CircuitBreaker::State breaker_state(const net::Address& to) const
       IDICN_EXCLUDES(mutex_);
 

@@ -34,18 +34,6 @@ bool set_nodelay(int fd) {
   return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
 }
 
-bool reuseport_supported() {
-#if defined(SO_REUSEPORT)
-  ScopedFd probe(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!probe.valid()) return false;
-  const int one = 1;
-  return ::setsockopt(probe.get(), SOL_SOCKET, SO_REUSEPORT, &one,
-                      sizeof(one)) == 0;
-#else
-  return false;
-#endif
-}
-
 int listen_tcp(std::uint16_t port, std::uint16_t* bound_port, std::string* error,
                const ListenOptions& options) {
   ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
@@ -55,16 +43,10 @@ int listen_tcp(std::uint16_t port, std::uint16_t* bound_port, std::string* error
   }
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (options.reuseport) {
-#if defined(SO_REUSEPORT)
-    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      set_error(error, "setsockopt(SO_REUSEPORT)");
-      return -1;
-    }
-#else
-    if (error != nullptr) *error = "SO_REUSEPORT not supported on this platform";
+  if (options.reuseport &&
+      ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    set_error(error, "setsockopt(SO_REUSEPORT)");
     return -1;
-#endif
   }
 
   sockaddr_in addr{};

@@ -43,14 +43,10 @@ bool set_nodelay(int fd);
 struct ListenOptions {
   /// Set SO_REUSEPORT before bind so several sockets (one per reactor
   /// worker) can share one port and let the kernel load-balance accepted
-  /// connections across them. Binding fails with an error when the
-  /// platform lacks the option (probe with reuseport_supported()).
+  /// connections across them. The runtime is Linux-only, so the option
+  /// always exists; a socket without it keeps the port to itself.
   bool reuseport = false;
 };
-
-/// True when this platform can set SO_REUSEPORT on a TCP socket (probed
-/// once per call on a throwaway socket — callers cache the answer).
-[[nodiscard]] bool reuseport_supported();
 
 /// Create a listening TCP socket bound to 127.0.0.1:`port` (0 = kernel
 /// picks an ephemeral port). On success returns the fd (non-blocking,

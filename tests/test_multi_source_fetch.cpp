@@ -20,6 +20,7 @@
 #include "net/http_message.hpp"
 #include "net/transport.hpp"
 #include "runtime/congestion_window.hpp"
+#include "runtime/retry.hpp"
 #include "runtime/rtt_estimator.hpp"
 
 namespace idicn::runtime {
@@ -330,7 +331,7 @@ TEST(MultiSourceFetch, HedgeWinsAndStragglerPaysKarnPenalty) {
   ScriptedTransport net;
   ManualExecutor exec;
   MultiSourceFetcher::Options options;
-  options.range_fetch_enabled = false;
+  options.max_parallel_ranges = 1;  // one stream per fetch
   MultiSourceFetcher fetcher(&net, options);
 
   auto sink = std::make_shared<CollectSink>();
@@ -393,7 +394,7 @@ TEST(MultiSourceFetch, HedgeSuppressedWhenBudgetIsEmpty) {
   ScriptedTransport net;
   ManualExecutor exec;
   MultiSourceFetcher::Options options;
-  options.range_fetch_enabled = false;
+  options.max_parallel_ranges = 1;  // one stream per fetch
   options.hedge_budget.initial_tokens = 0.0;
   options.hedge_budget.tokens_per_request = 0.0;  // drained budget, no refill
   MultiSourceFetcher fetcher(&net, options);
@@ -426,7 +427,7 @@ TEST(MultiSourceFetch, HedgeTimerIsMootOncePrimaryHeadArrived) {
   ScriptedTransport net;
   ManualExecutor exec;
   MultiSourceFetcher::Options options;
-  options.range_fetch_enabled = false;
+  options.max_parallel_ranges = 1;  // one stream per fetch
   MultiSourceFetcher fetcher(&net, options);
 
   auto sink = std::make_shared<CollectSink>();
@@ -450,7 +451,7 @@ TEST(MultiSourceFetch, SingleSourceNeverArmsTheHedgeTimer) {
   ScriptedTransport net;
   ManualExecutor exec;
   MultiSourceFetcher::Options options;
-  options.range_fetch_enabled = false;
+  options.max_parallel_ranges = 1;  // one stream per fetch
   MultiSourceFetcher fetcher(&net, options);
   auto sink = std::make_shared<CollectSink>();
   fetcher.fetch_from_best(
@@ -464,7 +465,7 @@ TEST(MultiSourceFetch, SerialFailoverLadderKeepsTheBestErrorHead) {
   ScriptedTransport net;
   MultiSourceFetcher::Options options;
   options.hedging_enabled = false;
-  options.range_fetch_enabled = false;
+  options.max_parallel_ranges = 1;  // one stream per fetch
   MultiSourceFetcher fetcher(&net, options);
 
   auto sink = std::make_shared<CollectSink>();
@@ -510,7 +511,6 @@ TEST(MultiSourceFetch, RangeLegFailsOverAndJoinStaysInOrder) {
   ScriptedTransport net;
   MultiSourceFetcher::Options options;
   options.hedging_enabled = false;
-  options.range_fetch_enabled = true;
   options.max_parallel_ranges = 2;  // probe + one tail leg
   options.range_probe_bytes = 4;
   MultiSourceFetcher fetcher(&net, options);
@@ -574,11 +574,76 @@ TEST(MultiSourceFetch, RangeLegFailsOverAndJoinStaysInOrder) {
   EXPECT_EQ(fetcher.stats().range_fetches, 1u);
 }
 
+TEST(MultiSourceFetch, OpenBreakerRefusesTheDialUntilItsProbe) {
+  ScriptedTransport net;
+  MultiSourceFetcher::Options options;
+  options.hedging_enabled = false;
+  options.max_parallel_ranges = 1;  // one stream per fetch
+  MultiSourceFetcher fetcher(&net, options);
+  constexpr CircuitBreaker::Options kBreaker{};  // the fetcher's fixed settings
+
+  int done_count = 0;
+  net::HttpResponse final_head;
+  const auto fetch_a = [&] {
+    fetcher.fetch_from_best(
+        "client", {"a.svc"}, get_request("/obj"),
+        std::make_shared<CollectSink>(), /*exec=*/nullptr,
+        [&](net::HttpResponse head, const MultiSourceFetcher::Result&) {
+          ++done_count;
+          final_head = std::move(head);
+        });
+  };
+
+  // Transport failures (no head at all), as many as the threshold: the
+  // breaker opens.
+  for (int i = 0; i < kBreaker.failure_threshold; ++i) {
+    fetch_a();
+    ASSERT_EQ(net.sends.size(), static_cast<std::size_t>(i + 1));
+    net.sends.back().done(net::make_response(504, "connect failed"));
+  }
+  EXPECT_EQ(done_count, kBreaker.failure_threshold);
+  auto snap = fetcher.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].breaker, CircuitBreaker::State::Open);
+  EXPECT_EQ(fetcher.rank({"a.svc", "b.svc"}),
+            (std::vector<net::Address>{"b.svc", "a.svc"}));
+
+  // Its only source open, a fetch dials nothing and completes once.
+  const std::size_t sends_before = net.sends.size();
+  fetch_a();
+  EXPECT_EQ(net.sends.size(), sends_before);
+  EXPECT_EQ(done_count, kBreaker.failure_threshold + 1);
+  EXPECT_EQ(final_head.status, 504);
+
+  // Past the cooldown exactly one probe goes out: a second fetch while it
+  // is in flight is refused too.
+  net.now_ms_ = kBreaker.open_ms;
+  fetch_a();
+  ASSERT_EQ(net.sends.size(), sends_before + 1);
+  EXPECT_EQ(net.sends.back().to, "a.svc");
+  ScriptedTransport::PendingSend probe = std::move(net.sends.back());
+  fetch_a();
+  EXPECT_EQ(net.sends.size(), sends_before + 1);
+  EXPECT_EQ(done_count, kBreaker.failure_threshold + 2);
+
+  // A clean answer closes the breaker.
+  net::HttpResponse win;
+  win.status = 200;
+  ASSERT_TRUE(probe.sink->on_head(win));
+  probe.done(win);
+  EXPECT_EQ(done_count, kBreaker.failure_threshold + 3);
+  EXPECT_EQ(final_head.status, 200);
+  snap = fetcher.snapshot();
+  ASSERT_EQ(snap.size(), 2u);  // rank() gave b.svc a state as well
+  EXPECT_EQ(snap[0].address, "a.svc");
+  EXPECT_EQ(snap[0].breaker, CircuitBreaker::State::Closed);
+}
+
 TEST(MultiSourceFetch, RankPrefersMeasuredFastReplicaAndDemotesKarnLosers) {
   ScriptedTransport net;
   MultiSourceFetcher::Options options;
   options.hedging_enabled = false;
-  options.range_fetch_enabled = false;
+  options.max_parallel_ranges = 1;  // one stream per fetch
   MultiSourceFetcher fetcher(&net, options);
 
   // One clean exchange against b.svc at 10ms: measured 10ms beats the

@@ -822,7 +822,7 @@ TEST(SocketNet, StalePooledConnectionIsDetectedAndRedialed) {
     server.start();
     EventLoop loop;
     SocketNet::Options options;
-    options.enable_retries = false;  // isolate the probe from the retry layer
+    options.retry.max_attempts = 1;  // isolate the probe from the retry layer
     SocketNet socket_net(options);
     socket_net.register_endpoint(server);
 
@@ -849,7 +849,8 @@ TEST(SocketNet, TransportFailuresAreRetriedWithBackoff) {
     EventLoop loop;
     SocketNet::Options options;
     options.client.connect_timeout_ms = 100;
-    options.enable_breakers = false;  // isolate the retry layer
+    // Isolate the retry layer: the breaker never opens on three failures.
+    options.breaker.failure_threshold = 4;
     options.retry.max_attempts = 3;
     options.retry.base_delay_ms = 1;
     options.retry.max_delay_ms = 4;
@@ -883,7 +884,7 @@ TEST(SocketNet, BreakerOpensAndFastFailsWithRetryAfter) {
     EventLoop loop;
     SocketNet::Options options;
     options.client.connect_timeout_ms = 100;
-    options.enable_retries = false;
+    options.retry.max_attempts = 1;
     options.breaker.failure_threshold = 2;
     options.breaker.open_ms = 30'000;  // stays open for the whole test
     SocketNet socket_net(options);
@@ -908,7 +909,7 @@ TEST(SocketNet, BreakerHalfOpensProbesAndRecloses) {
     EventLoop loop;
     SocketNet::Options options;
     options.client.connect_timeout_ms = 100;
-    options.enable_retries = false;
+    options.retry.max_attempts = 1;
     options.breaker.failure_threshold = 1;
     options.breaker.open_ms = 100;
     SocketNet socket_net(options);
@@ -995,7 +996,8 @@ TEST(SocketNet, RetryBudgetShedsRetriesUnderSustainedFailure) {
     EventLoop loop;
     SocketNet::Options options;
     options.client.connect_timeout_ms = 100;
-    options.enable_breakers = false;
+    // Isolate the budget: the breaker never opens on the 5 + 3 failures.
+    options.breaker.failure_threshold = 9;
     options.retry.max_attempts = 3;
     options.retry.base_delay_ms = 1;
     options.retry.max_delay_ms = 2;

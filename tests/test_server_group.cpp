@@ -1,14 +1,22 @@
-// runtime::ServerGroup multi-reactor suite: the SO_REUSEPORT path, the
-// single-acceptor round-robin fallback (forced via Options::reuseport =
-// false, per the PR-4 satellite), ordered/idempotent stop with graceful
-// drain, and the run_on_all_workers exclusivity door. Everything runs over
-// real loopback TCP and is part of the sanitizer CI job.
+// runtime::ServerGroup multi-reactor suite: one listener per worker
+// (SO_REUSEPORT only when there are several), the bind contract, the
+// accept pause when descriptors run out, ordered/idempotent stop with
+// graceful drain, and the run_on_all_workers exclusivity door. Everything
+// runs over real loopback TCP and is part of the sanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <ctime>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -129,39 +137,7 @@ TEST(ServerGroup, RequestFollowedByFinIsAnsweredThenClosed) {
 }
 
 // ---------------------------------------------------------------------------
-// Fallback path (forced): one acceptor round-robins fds to the workers
-
-TEST(ServerGroup, ForcedFallbackRoundRobinsConnectionsAcrossWorkers) {
-  EchoHost host;
-  ServerGroup::Options options;
-  options.workers = 3;
-  options.reuseport = false;  // force the portability fallback
-  ServerGroup group(&host, "echo.test", options);
-  const std::uint16_t port = group.start();
-  ASSERT_GT(port, 0);
-  EXPECT_FALSE(group.using_reuseport());
-  EXPECT_EQ(group.worker_count(), 3u);
-
-  // Six sequential connections (each completes a request before the next
-  // dials, so accept order is the connect order): the dispatch cursor
-  // must land two connections on every worker.
-  for (int i = 0; i < 6; ++i) {
-    HttpClient client("127.0.0.1", port);
-    const auto response = client.get("/conn" + std::to_string(i));
-    ASSERT_TRUE(response.has_value()) << "connection " << i;
-    EXPECT_EQ(response->body, "echo:/conn" + std::to_string(i));
-  }
-
-  // Per-worker counters exist only while the workers run.
-  for (std::size_t w = 0; w < 3; ++w) {
-    EXPECT_EQ(group.worker_stats(w).connections_accepted, 2u)
-        << "worker " << w << " did not get its round-robin share";
-    EXPECT_EQ(group.worker_stats(w).requests_served, 2u) << "worker " << w;
-  }
-  group.stop();
-  EXPECT_EQ(group.stats().requests_served, 6u);
-  EXPECT_EQ(group.stats().connections_accepted, 6u);
-}
+// Listeners and the bind contract
 
 TEST(ServerGroup, SingleWorkerNeverUsesReuseport) {
   EchoHost host;
@@ -170,12 +146,51 @@ TEST(ServerGroup, SingleWorkerNeverUsesReuseport) {
   ServerGroup group(&host, "echo.test", options);
   group.start();
   EXPECT_EQ(group.worker_count(), 1u);
-  EXPECT_FALSE(group.using_reuseport());  // no point sharding one acceptor
+  // A lone listener keeps its port: even a socket that sets SO_REUSEPORT
+  // cannot bind it.
+  ListenOptions shared;
+  shared.reuseport = true;
+  std::string error;
+  const ScopedFd intruder(listen_tcp(group.port(), nullptr, &error, shared));
+  EXPECT_FALSE(intruder.valid());
+  EXPECT_NE(error.find("bind"), std::string::npos) << error;
   HttpClient client("127.0.0.1", group.port());
   const auto response = client.get("/solo");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->body, "echo:/solo");
   group.stop();
+}
+
+TEST(ServerGroup, FailedBindThrowsAndLeavesTheGroupStopped) {
+  // A plain listener (no SO_REUSEPORT) holds the port, so neither a lone
+  // listener nor a set of shared ones can bind it.
+  std::uint16_t taken = 0;
+  const ScopedFd holder(listen_tcp(0, &taken, nullptr));
+  ASSERT_TRUE(holder.valid());
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(workers);
+    EchoHost host;
+    ServerGroup::Options options;
+    options.workers = workers;
+    ServerGroup group(&host, "echo.test", options);
+    EXPECT_THROW((void)group.start(taken), std::runtime_error);
+    EXPECT_FALSE(group.running());
+    EXPECT_THROW((void)group.worker_stats(0), std::out_of_range);
+    group.stop();  // nothing started: a no-op
+    EXPECT_FALSE(group.running());
+    EXPECT_EQ(group.stats().connections_accepted, 0u);
+
+    // The same group then starts on an ephemeral port and serves.
+    const std::uint16_t port = group.start();
+    ASSERT_NE(port, taken);
+    EXPECT_EQ(group.worker_count(), workers);
+    HttpClient client("127.0.0.1", port);
+    const auto response = client.get("/after");
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->body, "echo:/after");
+    group.stop();
+    EXPECT_EQ(group.stats().requests_served, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -214,18 +229,115 @@ TEST(ServerGroup, OverCapacityRejectionCarriesRetryAfter) {
 }
 
 // ---------------------------------------------------------------------------
-// SO_REUSEPORT path (kernel-balanced; skipped where unsupported)
+// Descriptor exhaustion: accept() failing with EMFILE pauses the listener
+
+/// Highest descriptor this process holds.
+int highest_open_fd() {
+  int highest = STDERR_FILENO;
+  if (DIR* dir = ::opendir("/proc/self/fd")) {
+    const int own = ::dirfd(dir);
+    while (const dirent* entry = ::readdir(dir)) {
+      const int fd = std::atoi(entry->d_name);
+      if (fd != own) highest = std::max(highest, fd);
+    }
+    ::closedir(dir);
+  }
+  return highest;
+}
+
+double process_cpu_seconds() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) / 1e9;
+}
+
+/// Runs in a death-test child, because RLIMIT_NOFILE is process-wide.
+/// Fills the descriptor table, connects, and measures the process's CPU
+/// while the worker's accept() fails; then frees the table and reads the
+/// answer. Prints what it saw and exits 0 only when the worker stayed
+/// idle, accepted nothing while the table was full, and then served.
+[[noreturn]] void serve_after_descriptors_run_out() {
+  EchoHost host;
+  ServerGroup group(&host, "echo.test");
+  const std::uint16_t port = group.start();
+
+  // One exchange first, while descriptors are free: the sanitizer
+  // runtimes check a type on its first use, and UBSan's vptr check opens
+  // a pipe to do it. Wait until the worker has closed its side, so no
+  // descriptor comes free once the table is full.
+  const bool warmed = HttpClient("127.0.0.1", port).get("/warm").has_value();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (group.stats().connections_closed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Cap the table a little above what the process holds already (the
+  // sanitizer runtimes hold some), then take every free slot under the cap.
+  rlimit limit{};
+  ::getrlimit(RLIMIT_NOFILE, &limit);
+  limit.rlim_cur = static_cast<rlim_t>(highest_open_fd() + 16);
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) {
+    std::fprintf(stderr, "setrlimit failed\n");
+    std::exit(1);
+  }
+  const ScopedFd null_fd(::open("/dev/null", O_RDONLY));
+  std::vector<ScopedFd> filler;
+  while (true) {
+    ScopedFd fd(::dup(null_fd.get()));
+    if (!fd.valid()) break;
+    filler.push_back(std::move(fd));
+  }
+
+  // The client takes the last free slot. Its handshake completes in the
+  // kernel backlog, and accept() finds no descriptor for it.
+  filler.pop_back();
+  const ScopedFd client = raw_connection(port);
+  const std::string wire = "GET /waiting HTTP/1.1\r\nHost: echo.test\r\n\r\n";
+  const bool sent = client.valid() &&
+                    ::send(client.get(), wire.data(), wire.size(),
+                           MSG_NOSIGNAL) == static_cast<ssize_t>(wire.size());
+
+  const double cpu_before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu_s = process_cpu_seconds() - cpu_before;
+  const std::uint64_t accepted_while_full =
+      group.stats().connections_accepted - 1;
+
+  filler.clear();  // the next re-arm accepts the waiting connection
+  net::HttpDecoder decoder(net::HttpDecoder::Mode::Response);
+  const auto response = read_response(client.get(), decoder);
+  const bool answered = response.has_value() && response->body == "echo:/waiting";
+  group.stop();
+
+  std::fprintf(stderr,
+               "warmed=%d sent=%d cpu_s=%.3f accepted_while_full=%llu "
+               "answered=%d\n",
+               warmed, sent, cpu_s,
+               static_cast<unsigned long long>(accepted_while_full), answered);
+  const bool ok =
+      warmed && sent && cpu_s < 0.1 && accepted_while_full == 0 && answered;
+  std::exit(ok ? 0 : 1);
+}
+
+TEST(ServerGroupDeathTest, AcceptPausesWhileDescriptorsRunOut) {
+  // A spinning worker burns ~0.5 s of CPU in the 500 ms window; a paused
+  // one re-tries accept() every kAcceptPauseMs and stays near zero.
+  // Portable across gtest versions (GTEST_FLAG_SET is too new for some).
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(serve_after_descriptors_run_out(), ::testing::ExitedWithCode(0),
+              "answered=");
+}
+
+// ---------------------------------------------------------------------------
+// SO_REUSEPORT listeners (kernel-balanced)
 
 TEST(ServerGroup, ReuseportListenersShareOnePort) {
-  if (!reuseport_supported()) {
-    GTEST_SKIP() << "SO_REUSEPORT not supported on this platform";
-  }
   EchoHost host;
   ServerGroup::Options options;
   options.workers = 2;
   ServerGroup group(&host, "echo.test", options);
   const std::uint16_t port = group.start();
-  EXPECT_TRUE(group.using_reuseport());
 
   // The kernel picks the worker per connection — assert aggregate
   // correctness, not the (hash-dependent) distribution.
@@ -253,7 +365,6 @@ TEST(ServerGroup, StopIsIdempotentAndPreservesCounters) {
   EchoHost host;
   ServerGroup::Options options;
   options.workers = 2;
-  options.reuseport = false;
   ServerGroup group(&host, "echo.test", options);
   group.start();
   {
@@ -319,7 +430,6 @@ TEST(ServerGroup, StopDrainsInFlightRequestBeforeJoining) {
   SlowHost host;
   ServerGroup::Options options;
   options.workers = 2;
-  options.reuseport = false;
   ServerGroup group(&host, "slow.test", options);
   const std::uint16_t port = group.start();
 
@@ -352,7 +462,6 @@ TEST(ServerGroup, DrainDeadlineForceClosesStalledConnection) {
   EchoHost host;
   ServerGroup::Options options;
   options.workers = 2;
-  options.reuseport = false;
   options.drain_timeout_ms = 100;      // short deadline under test
   options.request_timeout_ms = 60'000; // so only the drain deadline fires
   options.idle_timeout_ms = 60'000;
@@ -407,7 +516,6 @@ TEST(ServerGroup, RunOnAllWorkersGetsExclusiveAccessWhileServing) {
   GreetingHost host;
   ServerGroup::Options options;
   options.workers = 3;
-  options.reuseport = false;
   ServerGroup group(&host, "greet.test", options);
   const std::uint16_t port = group.start();
 
